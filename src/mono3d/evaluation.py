@@ -3,13 +3,18 @@
 Rotated-box overlap is computed analytically: bird's-eye-view footprints
 are clipped against each other (convex-convex Sutherland-Hodgman) and the
 3D overlap multiplies the footprint intersection by the vertical overlap.
-A Monte-Carlo volume sampler provides an independent cross-check.
+One clip yields both the BEV and the 3D IoU of a pair. A Monte-Carlo
+volume sampler provides an independent cross-check.
 
 Detections are matched to ground truth greedily in descending score
 order; average precision interpolates the precision envelope on a fixed
 recall grid (11-point by default, 40-point optional). Localization
 quality is reported as per-coordinate relative accuracy, optionally
 binned by depth.
+
+A split evaluation computes each frame's (prediction, ground truth)
+overlaps once, on first use, and shares them across every difficulty
+tier, metric and threshold, and the localization pass.
 """
 
 from __future__ import annotations
@@ -119,40 +124,88 @@ def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.array(merged) if merged else np.zeros((0, 2))
 
 
-def _footprint_intersection_area(a: Box3D, b: Box3D) -> tuple[float, float, float]:
-    fa = bev_footprint(a)
-    fb = bev_footprint(b)
-    area_a = polygon_area(fa)
-    area_b = polygon_area(fb)
-    inter = clip_convex(fa, fb)
+# A box with its BEV footprint and the footprint's signed area.
+_Footprinted = tuple[Box3D, np.ndarray, float]
+# A pair's (3D IoU, BEV IoU); None where both boxes are degenerate under it.
+_PairIous = tuple[Optional[float], Optional[float]]
+
+# Metrics in the order _pair_ious returns them, and the error for a pair
+# that is degenerate in both boxes under each.
+_METRICS = ("3d", "bev")
+_DEGENERATE = ("both boxes are degenerate", "both footprints are degenerate")
+
+
+def _footprinted(box: Box3D) -> _Footprinted:
+    footprint = bev_footprint(box)
+    return box, footprint, polygon_area(footprint)
+
+
+def _pair_ious(a: _Footprinted, b: _Footprinted) -> _PairIous:
+    """3D and BEV IoU of two boxes from one clip with ``a`` as the subject."""
+    box_a, footprint_a, area_a = a
+    box_b, footprint_b, area_b = b
+    inter = clip_convex(footprint_a, footprint_b)
     inter_area = abs(polygon_area(inter)) if len(inter) >= 3 else 0.0
-    return inter_area, area_a, area_b
+
+    if area_a <= 0 and area_b <= 0:
+        bev = None
+    elif area_a <= 0 or area_b <= 0:
+        bev = 0.0
+    else:
+        bev = inter_area / (area_a + area_b - inter_area)
+
+    vol_a = area_a * box_a.dims[0]
+    vol_b = area_b * box_b.dims[0]
+    if vol_a <= 0 and vol_b <= 0:
+        iou = None
+    elif vol_a <= 0 or vol_b <= 0:
+        iou = 0.0
+    else:
+        # Vertical extent is [y - h, y]: y grows downwards.
+        y_overlap = min(box_a.center[1], box_b.center[1]) - max(
+            box_a.center[1] - box_a.dims[0], box_b.center[1] - box_b.dims[0])
+        inter_vol = inter_area * max(0.0, y_overlap)
+        iou = inter_vol / (vol_a + vol_b - inter_vol)
+    return iou, bev
+
+
+def _read(ious: _PairIous, metric: str) -> float:
+    k = _METRICS.index(metric)
+    if ious[k] is None:
+        raise ValueError(_DEGENERATE[k])
+    return ious[k]
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Bird's-eye-view overlap of the two rotated footprints."""
-    inter, area_a, area_b = _footprint_intersection_area(a, b)
-    if area_a <= 0 and area_b <= 0:
-        raise ValueError("both footprints are degenerate")
-    if area_a <= 0 or area_b <= 0:
-        return 0.0
-    return inter / (area_a + area_b - inter)
+    return _read(_pair_ious(_footprinted(a), _footprinted(b)), "bev")
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume overlap: footprint intersection times vertical overlap."""
-    inter_area, area_a, area_b = _footprint_intersection_area(a, b)
-    vol_a = area_a * a.dims[0]
-    vol_b = area_b * b.dims[0]
-    if vol_a <= 0 and vol_b <= 0:
-        raise ValueError("both boxes are degenerate")
-    if vol_a <= 0 or vol_b <= 0:
-        return 0.0
-    # Vertical extent is [y - h, y]: y grows downwards.
-    y_overlap = min(a.center[1], b.center[1]) - max(a.center[1] - a.dims[0],
-                                                    b.center[1] - b.dims[0])
-    inter_vol = inter_area * max(0.0, y_overlap)
-    return inter_vol / (vol_a + vol_b - inter_vol)
+    return _read(_pair_ious(_footprinted(a), _footprinted(b)), "3d")
+
+
+class _FrameOverlaps:
+    """Overlaps of one frame's predictions (rows) with its ground truths
+    (columns), each pair clipped at most once, on its first read.
+
+    A degenerate pair raises only when a read asks for the metric it is
+    degenerate under.
+    """
+
+    def __init__(self, preds: Sequence[ObjectAnnotation],
+                 gts: Sequence[ObjectAnnotation]):
+        self.rows = [_footprinted(annotation_box3d(p)) for p in preds]
+        self.cols = [_footprinted(annotation_box3d(g)) for g in gts]
+        self._ious: list[list[Optional[_PairIous]]] = [[None] * len(self.cols)
+                                                       for _ in self.rows]
+
+    def __call__(self, row: int, col: int, metric: str) -> float:
+        ious = self._ious[row][col]
+        if ious is None:
+            ious = self._ious[row][col] = _pair_ious(self.rows[row], self.cols[col])
+        return _read(ious, metric)
 
 
 def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
@@ -202,35 +255,45 @@ def match_frame(preds: Sequence[ObjectAnnotation], gts: Sequence[ObjectAnnotatio
     dropped from scoring entirely (not a false positive), mirroring the
     benchmark treatment of detections on out-of-tier objects.
     """
-    if metric not in ("3d", "bev"):
+    overlaps = _FrameOverlaps(preds, [*gts, *ignored_gts])
+    return _greedy_match(overlaps, preds, range(len(gts)),
+                         range(len(gts), len(gts) + len(ignored_gts)),
+                         iou_threshold, metric, frame)
+
+
+def _greedy_match(overlaps: _FrameOverlaps, preds: Sequence[ObjectAnnotation],
+                  gt_cols: Sequence[int], ignored_cols: Sequence[int],
+                  iou_threshold: float, metric: str, frame: str) -> MatchResult:
+    """:func:`match_frame` over columns of a frame's overlap table.
+
+    ``gt_cols`` and ``ignored_cols`` index the table's ground truths; the
+    result's ground-truth indices are positions in ``gt_cols``.
+    """
+    if metric not in _METRICS:
         raise ValueError(f"metric must be '3d' or 'bev', got {metric!r}")
-    overlap = iou_3d if metric == "3d" else bev_iou
     scores = []
     for i, p in enumerate(preds):
         if p.score is None:
             raise ValueError(f"prediction {i} has no score")
         scores.append(p.score)
 
-    gt_boxes = [annotation_box3d(g) for g in gts]
-    ignored_boxes = [annotation_box3d(g) for g in ignored_gts]
     pred_order = sorted(range(len(preds)), key=lambda i: (-scores[i], i))
-    gt_taken = [False] * len(gts)
+    gt_taken = [False] * len(gt_cols)
     pairs = []
     unmatched_preds = []
     ignored_preds = []
     for i in pred_order:
-        box = annotation_box3d(preds[i])
         best_j, best_iou = -1, 0.0
-        for j, gt_box in enumerate(gt_boxes):
+        for j, col in enumerate(gt_cols):
             if gt_taken[j]:
                 continue
-            v = overlap(box, gt_box)
+            v = overlaps(i, col, metric)
             if v >= iou_threshold and v > best_iou:
                 best_j, best_iou = j, v
         if best_j >= 0:
             gt_taken[best_j] = True
             pairs.append((i, best_j, best_iou))
-        elif any(overlap(box, ib) >= iou_threshold for ib in ignored_boxes):
+        elif any(overlaps(i, col, metric) >= iou_threshold for col in ignored_cols):
             ignored_preds.append(i)
         else:
             unmatched_preds.append(i)
@@ -353,12 +416,16 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
                    for f in frames}
     class_gts = {f: [g for g in gts_by_frame[f] if g.class_name == class_name]
                  for f in frames}
+    overlaps = {f: _FrameOverlaps(class_preds[f], class_gts[f]) for f in frames}
+    gt_tiers = {f: [assign_difficulty(g) for g in class_gts[f]] for f in frames}
     for difficulty in difficulties:
         name = difficulty.name.lower()
-        filtered = {f: filter_by_difficulty(gts_by_frame[f], difficulty, class_name)
+        # Disjoint, order-preserving column subsets: the tier's ground
+        # truths (as filter_by_difficulty selects them) and the rest.
+        filtered = {f: [j for j, t in enumerate(gt_tiers[f]) if t <= difficulty]
                     for f in frames}
-        ignored = {f: [g for g in class_gts[f]
-                       if assign_difficulty(g) > difficulty] for f in frames}
+        ignored = {f: [j for j, t in enumerate(gt_tiers[f]) if t > difficulty]
+                   for f in frames}
         n_gt = sum(len(v) for v in filtered.values())
         report["n_gt"][name] = n_gt
         report["ap_3d"][name] = {}
@@ -368,23 +435,23 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
                 if n_gt == 0:
                     report[key][name][f"{thr:g}"] = None
                     continue
-                matches = [match_frame(class_preds[f], filtered[f], thr, metric,
-                                       frame=f, ignored_gts=ignored[f])
+                matches = [_greedy_match(overlaps[f], class_preds[f], filtered[f],
+                                         ignored[f], thr, metric, frame=f)
                            for f in frames]
                 curve = average_precision(matches, n_gt, mode=ap_mode)
                 report[key][name][f"{thr:g}"] = curve.ap
                 report["pr_curves"][f"{metric}_{name}_{thr:g}"] = curve.points
 
     loc_threshold = min(thresholds)
-    loc_gts = {f: filter_by_difficulty(gts_by_frame[f], Difficulty.HARD, class_name)
-               for f in frames}
     pred_centers = []
     gt_centers = []
     for f in frames:
-        match = match_frame(class_preds[f], loc_gts[f], loc_threshold, "3d", frame=f)
+        loc_cols = [j for j, t in enumerate(gt_tiers[f]) if t <= Difficulty.HARD]
+        match = _greedy_match(overlaps[f], class_preds[f], loc_cols, (),
+                              loc_threshold, "3d", frame=f)
         for i, j, _ in match.pairs:
             pred_centers.append(class_preds[f][i].location)
-            gt_centers.append(loc_gts[f][j].location)
+            gt_centers.append(class_gts[f][loc_cols[j]].location)
     if pred_centers:
         loc = localization_report(np.array(pred_centers), np.array(gt_centers))
         report["localization"] = {

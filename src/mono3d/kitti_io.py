@@ -5,13 +5,15 @@ Label files carry one object per line with 15 whitespace-separated fields
 files are ``KEY: v0 ... v11`` lines of which only the left colour camera
 projection ``P2`` is consumed. Split files list one frame id per line.
 
-Parsing is strict and total: every line either yields an annotation or a
-located error (line number, field index); nothing is dropped silently.
+Parsing is strict and total: every line either yields an annotation of
+finite values or a located error (line number, field index); nothing is
+dropped silently.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -129,10 +131,14 @@ def _parse_fields(tokens: list[str], line_number: int) -> ObjectAnnotation:
     values = []
     for i, tok in enumerate(tokens[1:], start=1):
         try:
-            values.append(float(tok))
+            value = float(tok)
         except ValueError:
             raise LabelFormatError(f"field {tok!r} is not a number",
                                    line_number=line_number, field_index=i) from None
+        if not math.isfinite(value):
+            raise LabelFormatError(f"field {tok!r} is not finite",
+                                   line_number=line_number, field_index=i)
+        values.append(value)
     score = values[14] if len(values) == 15 else None
     return ObjectAnnotation(
         class_name=tokens[0],

@@ -107,6 +107,27 @@ class TestEval:
         (corpus["gt"] / "000001.txt").unlink()
         assert run(self.eval_args(corpus, tmp_path / "report.json")) == 1
 
+    def test_non_finite_prediction_is_input_error(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "data")
+        pred = corpus["pred"] / "000001.txt"
+        lines = pred.read_text().splitlines()
+        tokens = lines[1].split()
+        tokens[13] = "nan"
+        lines[1] = " ".join(tokens)
+        pred.write_text("\n".join(lines) + "\n")
+        assert run(self.eval_args(corpus, tmp_path / "report.json")) == 1
+        assert "not finite (line 2, field 13)" in capsys.readouterr().err
+
+    def test_degenerate_pair_is_input_error(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "data")
+        for directory in (corpus["gt"], corpus["pred"]):
+            path = directory / "000002.txt"
+            tokens = path.read_text().split()
+            tokens[9] = "0.00"  # width
+            path.write_text(" ".join(tokens) + "\n")
+        assert run(self.eval_args(corpus, tmp_path / "report.json")) == 1
+        assert "degenerate" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, tmp_path):
         corpus = write_corpus(tmp_path / "data", perturb_z=0.5)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

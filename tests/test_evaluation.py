@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_car, random_box_pair
-from mono3d.evaluation import (MatchResult, average_precision, bev_iou,
-                               clip_convex, evaluate_frames, filter_by_difficulty,
-                               iou_3d, localization_report, match_frame,
-                               monte_carlo_iou_3d, polygon_area)
+from mono3d import evaluation
+from mono3d.evaluation import (MatchResult, annotation_box3d, average_precision,
+                               bev_iou, clip_convex, evaluate_frames,
+                               filter_by_difficulty, iou_3d, localization_report,
+                               match_frame, monte_carlo_iou_3d, polygon_area)
 from mono3d.geometry import Box3D
-from mono3d.kitti_io import Difficulty
+from mono3d.kitti_io import Difficulty, assign_difficulty
 
 
 def box(cx=0.0, cy=0.0, cz=0.0, h=1.0, w=1.0, length=1.0, yaw=0.0):
@@ -128,6 +131,14 @@ class TestMatchFrame:
         gts = self.gt()
         with pytest.raises(ValueError):
             match_frame([gts[0]], gts, 0.5, "3d")
+
+    def test_zero_height_pair_matches_in_bev_only(self):
+        gts = [make_car(x=0.0, z=10.0, dims=(0.0, 1.63, 3.88))]
+        preds = [make_car(x=0.2, z=10.0, dims=(0.0, 1.63, 3.88), score=0.9)]
+        result = match_frame(preds, gts, 0.5, "bev")
+        assert [(i, j) for i, j, _ in result.pairs] == [(0, 0)]
+        with pytest.raises(ValueError, match="degenerate"):
+            match_frame(preds, gts, 0.5, "3d")
 
     def test_metric_validated(self):
         with pytest.raises(ValueError):
@@ -289,3 +300,116 @@ class TestEvaluateFrames:
         report = evaluate_frames(frames, {f: [] for f in frames}, thresholds=(0.5,))
         assert report["ap_3d"]["hard"]["0.5"] == 0.0
         assert report["localization"] is None
+
+
+def random_split(seed, n_frames=6):
+    """Frames whose Car GTs span every tier plus ignored ones, with tied
+    prediction scores and a Pedestrian row. Each frame repeats its first
+    GT box under a random tier, so predictions on it tie between two
+    GTs, or between a GT and an out-of-tier one."""
+    # (box height px, truncation, occlusion) of an easy, moderate, hard
+    # and ignored GT.
+    tiers = [(60.0, 0.0, 0), (30.0, 0.2, 1), (30.0, 0.4, 2), (20.0, 0.0, 0)]
+    rng = np.random.default_rng(seed)
+    gts, preds = {}, {}
+    for k in range(n_frames):
+        cars = []
+        for t in rng.permutation(len(tiers))[:int(rng.integers(1, 5))]:
+            height_px, truncation, occlusion = tiers[t]
+            cars.append(make_car(x=float(rng.uniform(-6.0, 6.0)),
+                                 z=float(rng.uniform(8.0, 40.0)), height_px=height_px,
+                                 truncation=truncation, occlusion=occlusion,
+                                 yaw=float(rng.uniform(-np.pi, np.pi))))
+        height_px, truncation, occlusion = tiers[int(rng.integers(len(tiers)))]
+        left, top = cars[0].box2d[:2]
+        cars.append(dataclasses.replace(cars[0], truncation=truncation,
+                                        occlusion=occlusion,
+                                        box2d=(left, top, left + 90.0, top + height_px)))
+        frame_preds = []
+        for car in cars[:-1] * 2:
+            x, y, z = car.location
+            frame_preds.append(make_car(
+                x=x + float(rng.normal(0.0, 0.4)), y=y, z=z + float(rng.normal(0.0, 0.6)),
+                yaw=car.rotation_y + float(rng.normal(0.0, 0.2)),
+                score=float(rng.choice([0.3, 0.6, 0.9]))))
+        frame_preds.append(make_car(class_name="Pedestrian", score=0.5))
+        frame = f"{k:06d}"
+        gts[frame] = cars + [make_car(class_name="Pedestrian", dims=(1.76, 0.6, 0.75))]
+        preds[frame] = frame_preds
+    return gts, preds
+
+
+def reference_report(gts_by_frame, preds_by_frame, thresholds, ap_mode="11"):
+    """evaluate_frames assembled from public per-frame calls, one
+    match_frame per frame, tier, metric and threshold."""
+    frames = sorted(gts_by_frame)
+    report = {"class": "Car", "frames": len(frames), "n_gt": {}, "ap_3d": {},
+              "ap_bev": {}, "pr_curves": {}}
+    preds = {f: [p for p in preds_by_frame[f] if p.class_name == "Car"] for f in frames}
+    for difficulty in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
+        name = difficulty.name.lower()
+        gts = {f: filter_by_difficulty(gts_by_frame[f], difficulty) for f in frames}
+        ignored = {f: [g for g in gts_by_frame[f] if g.class_name == "Car"
+                       and assign_difficulty(g) > difficulty] for f in frames}
+        n_gt = sum(len(v) for v in gts.values())
+        report["n_gt"][name] = n_gt
+        for metric, key in (("3d", "ap_3d"), ("bev", "ap_bev")):
+            report[key][name] = {}
+            for thr in thresholds:
+                matches = [match_frame(preds[f], gts[f], thr, metric, frame=f,
+                                       ignored_gts=ignored[f]) for f in frames]
+                curve = average_precision(matches, n_gt, mode=ap_mode)
+                report[key][name][f"{thr:g}"] = curve.ap
+                report["pr_curves"][f"{metric}_{name}_{thr:g}"] = curve.points
+    pred_centers, gt_centers = [], []
+    for f in frames:
+        gts = filter_by_difficulty(gts_by_frame[f], Difficulty.HARD)
+        for i, j, _ in match_frame(preds[f], gts, min(thresholds), "3d", frame=f).pairs:
+            pred_centers.append(preds[f][i].location)
+            gt_centers.append(gts[j].location)
+    loc = localization_report(np.array(pred_centers), np.array(gt_centers))
+    report["localization"] = {
+        "iou_threshold": min(thresholds), "count": loc.count,
+        "ra_u": loc.ra_u, "ra_v": loc.ra_v, "ra_z": loc.ra_z,
+        "depth_bins": [{"lo": b.lo, "hi": b.hi, "count": b.count,
+                        "ra_u": b.ra_u, "ra_v": b.ra_v, "ra_z": b.ra_z}
+                       for b in loc.depth_bins]}
+    return report
+
+
+class TestSharedOverlaps:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_table_equals_per_pair_functions(self, seed):
+        gts_by_frame, preds_by_frame = random_split(seed)
+        for frame, gts in gts_by_frame.items():
+            preds = preds_by_frame[frame]
+            table = evaluation._FrameOverlaps(preds, gts)
+            for i, p in enumerate(preds):
+                for j, g in enumerate(gts):
+                    a, b = annotation_box3d(p), annotation_box3d(g)
+                    assert table(i, j, "3d") == iou_3d(a, b)
+                    assert table(i, j, "bev") == bev_iou(a, b)
+
+    @pytest.mark.parametrize("seed,ap_mode", [(0, "11"), (1, "40"), (2, "11"), (3, "40")])
+    def test_report_equals_public_per_frame_assembly(self, seed, ap_mode):
+        gts, preds = random_split(seed)
+        tiers = {assign_difficulty(g) for v in gts.values() for g in v
+                 if g.class_name == "Car"}
+        assert tiers == set(Difficulty)
+        thresholds = (0.1, 0.25, 0.5, 0.7)
+        report = evaluate_frames(gts, preds, thresholds=thresholds, ap_mode=ap_mode)
+        assert report == reference_report(gts, preds, thresholds, ap_mode)
+
+    def test_one_clip_per_distinct_pair(self, monkeypatch):
+        gts, preds = random_split(5)
+        calls = []
+
+        def counting_clip(subject, clip):
+            calls.append(1)
+            return clip_convex(subject, clip)
+
+        monkeypatch.setattr(evaluation, "clip_convex", counting_clip)
+        evaluate_frames(gts, preds, thresholds=(0.3, 0.5, 0.7))
+        pairs = sum(sum(p.class_name == "Car" for p in preds[f])
+                    * sum(g.class_name == "Car" for g in gts[f]) for f in gts)
+        assert 0 < len(calls) <= pairs

@@ -51,6 +51,19 @@ class TestParseLabelFile:
         assert exc.value.line_number == 3
         assert exc.value.field_index == 13
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
+    @pytest.mark.parametrize("field_index,text", [(8, FIXTURE_LINE),
+                                                  (13, FIXTURE_LINE),
+                                                  (15, FIXTURE_LINE + " 0.97")],
+                             ids=["dims", "location", "score"])
+    def test_non_finite_value_located(self, value, field_index, text):
+        tokens = text.split()
+        tokens[field_index] = value
+        with pytest.raises(LabelFormatError, match="not finite") as exc:
+            parse_label_file(FIXTURE_LINE + "\n" + " ".join(tokens) + "\n")
+        assert exc.value.line_number == 2
+        assert exc.value.field_index == field_index
+
     def test_file_order_preserved(self):
         text = "\n".join([FIXTURE_LINE.replace("Car", c)
                           for c in ("Car", "Van", "Truck")])

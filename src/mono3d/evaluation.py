@@ -191,21 +191,33 @@ class _FrameOverlaps:
     (columns), each pair clipped at most once, on its first read.
 
     A degenerate pair raises only when a read asks for the metric it is
-    degenerate under.
+    degenerate under. The error names the frame and the pair's positions
+    in it: ``pred_positions`` and ``gt_positions`` map rows and columns to
+    the frame's objects (counted from 0), the identity by default.
     """
 
     def __init__(self, preds: Sequence[ObjectAnnotation],
-                 gts: Sequence[ObjectAnnotation]):
+                 gts: Sequence[ObjectAnnotation], frame: str = "",
+                 pred_positions: Optional[Sequence[int]] = None,
+                 gt_positions: Optional[Sequence[int]] = None):
         self.rows = [_footprinted(annotation_box3d(p)) for p in preds]
         self.cols = [_footprinted(annotation_box3d(g)) for g in gts]
         self._ious: list[list[Optional[_PairIous]]] = [[None] * len(self.cols)
                                                        for _ in self.rows]
+        self.frame = frame
+        self.pred_positions = pred_positions or range(len(preds))
+        self.gt_positions = gt_positions or range(len(gts))
 
     def __call__(self, row: int, col: int, metric: str) -> float:
         ious = self._ious[row][col]
         if ious is None:
             ious = self._ious[row][col] = _pair_ious(self.rows[row], self.cols[col])
-        return _read(ious, metric)
+        try:
+            return _read(ious, metric)
+        except ValueError as exc:
+            raise ValueError(
+                f"frame {self.frame!r}, prediction {self.pred_positions[row]} and "
+                f"ground truth {self.gt_positions[col]}: {exc}") from None
 
 
 def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
@@ -255,7 +267,7 @@ def match_frame(preds: Sequence[ObjectAnnotation], gts: Sequence[ObjectAnnotatio
     dropped from scoring entirely (not a false positive), mirroring the
     benchmark treatment of detections on out-of-tier objects.
     """
-    overlaps = _FrameOverlaps(preds, [*gts, *ignored_gts])
+    overlaps = _FrameOverlaps(preds, [*gts, *ignored_gts], frame)
     return _greedy_match(overlaps, preds, range(len(gts)),
                          range(len(gts), len(gts) + len(ignored_gts)),
                          iou_threshold, metric, frame)
@@ -412,11 +424,15 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
         "pr_curves": {},
     }
 
-    class_preds = {f: [p for p in preds_by_frame.get(f, []) if p.class_name == class_name]
-                   for f in frames}
-    class_gts = {f: [g for g in gts_by_frame[f] if g.class_name == class_name]
-                 for f in frames}
-    overlaps = {f: _FrameOverlaps(class_preds[f], class_gts[f]) for f in frames}
+    pred_positions = {f: [k for k, p in enumerate(preds_by_frame.get(f, []))
+                          if p.class_name == class_name] for f in frames}
+    gt_positions = {f: [k for k, g in enumerate(gts_by_frame[f])
+                        if g.class_name == class_name] for f in frames}
+    class_preds = {f: [preds_by_frame[f][k] for k in pred_positions[f]] for f in frames}
+    class_gts = {f: [gts_by_frame[f][k] for k in gt_positions[f]] for f in frames}
+    overlaps = {f: _FrameOverlaps(class_preds[f], class_gts[f], f,
+                                  pred_positions[f], gt_positions[f])
+                for f in frames}
     gt_tiers = {f: [assign_difficulty(g) for g in class_gts[f]] for f in frames}
     for difficulty in difficulties:
         name = difficulty.name.lower()

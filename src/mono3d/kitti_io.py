@@ -6,8 +6,9 @@ files are ``KEY: v0 ... v11`` lines of which only the left colour camera
 projection ``P2`` is consumed. Split files list one frame id per line.
 
 Parsing is strict and total: every line either yields an annotation of
-finite values or a located error (line number, field index); nothing is
-dropped silently.
+finite values, an integral occlusion code and non-negative dimensions
+(``DontCare`` rows excepted) or a located error (line number, field
+index); nothing is dropped silently.
 """
 
 from __future__ import annotations
@@ -139,6 +140,14 @@ def _parse_fields(tokens: list[str], line_number: int) -> ObjectAnnotation:
             raise LabelFormatError(f"field {tok!r} is not finite",
                                    line_number=line_number, field_index=i)
         values.append(value)
+    if not values[1].is_integer():
+        raise LabelFormatError(f"occlusion {tokens[2]!r} is not an integer",
+                               line_number=line_number, field_index=2)
+    if tokens[0] != "DontCare":  # DontCare rows keep their -1 placeholders
+        for i in (8, 9, 10):
+            if values[i - 1] < 0:
+                raise LabelFormatError(f"dimension {tokens[i]!r} is negative",
+                                       line_number=line_number, field_index=i)
     score = values[14] if len(values) == 15 else None
     return ObjectAnnotation(
         class_name=tokens[0],

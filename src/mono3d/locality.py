@@ -97,14 +97,25 @@ def similarity(u_i: float, u_j: float, z_i: float, z_j: float,
 
 
 def build_graph(batch: FeatureBatch, lam: float = DEFAULT_LAMBDA) -> SimilarityGraph:
-    """Build the all-pairs similarity graph of a batch from ground truth."""
+    """Build the all-pairs similarity graph of a batch from ground truth.
+
+    Works in place, with the same float operations in the same order as
+    ``np.exp(-du * du - dz * dz / lam)`` and ``np.diag(d) - s``.
+    """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    du = batch.u2d[:, None] - batch.u2d[None, :]
+    s = batch.u2d[:, None] - batch.u2d[None, :]
     dz = batch.z3d[:, None] - batch.z3d[None, :]
-    s = np.exp(-du * du - dz * dz / lam)
+    s *= s
+    np.negative(s, out=s)
+    dz *= dz
+    dz /= lam
+    s -= dz
+    del dz
+    np.exp(s, out=s)
     d = s.sum(axis=1)
-    p = np.diag(d) - s
+    p = np.diag(d)
+    p -= s
     return SimilarityGraph(s=s, d=d, p=p, lam=lam)
 
 

@@ -162,13 +162,12 @@ def neighbor_order_violations(head: LinearHead, scene: SyntheticScene,
     u_gt, z_gt = scene.gt
     cutoff = np.sqrt(lam) / 2.0
     count = 0
-    m = scene.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(z_gt[i] - z_gt[j]) >= cutoff:
-                continue
-            if (u_gt[i] - u_gt[j]) * (u_pred[i] - u_pred[j]) < 0:
-                count += 1
+    # One row's tail j > i at a time: the same float operations as the
+    # pairwise definition, without an M x M temporary.
+    for i in range(scene.size - 1):
+        near = np.abs(z_gt[i] - z_gt[i + 1:]) < cutoff
+        flipped = (u_gt[i] - u_gt[i + 1:]) * (u_pred[i] - u_pred[i + 1:]) < 0
+        count += int(np.count_nonzero(near & flipped))
     return count
 
 
@@ -190,11 +189,11 @@ def train(scene: SyntheticScene, cfg: LossConfig, use_regularizer: bool,
         raise ValueError(f"epochs must be at least 1, got {epochs}")
 
     batch = scene.batch()
-    graph = build_graph(batch, cfg.lam)
     x = batch.x
     gt = scene.gt
     m = scene.size
-    xpxt = x @ graph.p @ x.T
+    # Only the regulariser reads the graph, and only through X P X^T.
+    xpxt = x @ build_graph(batch, cfg.lam).p @ x.T if use_regularizer else None
 
     rng = np.random.default_rng(seed)
     w = 0.01 * rng.normal(size=(2, x.shape[0]))

@@ -128,6 +128,21 @@ class TestEval:
         assert run(self.eval_args(corpus, tmp_path / "report.json")) == 1
         assert "degenerate" in capsys.readouterr().err
 
+    def test_degenerate_pair_error_is_located(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "data")
+        pedestrian = ("Pedestrian 0.00 0 0.0 600.00 150.00 630.00 230.00 "
+                      "1.70 0.60 0.80 1.00 1.60 12.00 0.0")
+        for directory, lead in ((corpus["gt"], [pedestrian]), (corpus["pred"], [])):
+            path = directory / "000002.txt"
+            tokens = path.read_text().split()
+            tokens[9] = "0.00"  # width
+            path.write_text("".join(line + "\n" for line in [*lead, " ".join(tokens)]))
+        assert run(self.eval_args(corpus, tmp_path / "report.json")) == 1
+        err = capsys.readouterr().err
+        assert "'000002'" in err
+        # positions count all of the frame's objects, the Pedestrian included
+        assert "prediction 0 and ground truth 1: both boxes are degenerate" in err
+
     def test_rerun_byte_identical(self, tmp_path):
         corpus = write_corpus(tmp_path / "data", perturb_z=0.5)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

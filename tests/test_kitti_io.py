@@ -64,6 +64,43 @@ class TestParseLabelFile:
         assert exc.value.line_number == 2
         assert exc.value.field_index == field_index
 
+    @pytest.mark.parametrize("value", ["1.7", "0.5", "-0.1"])
+    def test_fractional_occlusion_located(self, value):
+        tokens = FIXTURE_LINE.split()
+        tokens[2] = value
+        with pytest.raises(LabelFormatError, match="not an integer") as exc:
+            parse_label_file(FIXTURE_LINE + "\n" + " ".join(tokens) + "\n")
+        assert exc.value.line_number == 2
+        assert exc.value.field_index == 2
+
+    def test_integral_occlusion_written_as_real(self):
+        tokens = FIXTURE_LINE.split()
+        tokens[2] = "2.0"
+        (a,) = parse_label_file(" ".join(tokens))
+        assert a.occlusion == 2
+
+    @pytest.mark.parametrize("field_index", [8, 9, 10])
+    def test_negative_dimension_located(self, field_index):
+        tokens = FIXTURE_LINE.split()
+        tokens[field_index] = "-1.5"
+        with pytest.raises(LabelFormatError, match="negative") as exc:
+            parse_label_file(FIXTURE_LINE + "\n" + " ".join(tokens) + "\n")
+        assert exc.value.line_number == 2
+        assert exc.value.field_index == field_index
+
+    def test_zero_dimension_accepted(self):
+        tokens = FIXTURE_LINE.split()
+        tokens[9] = "0.00"
+        (a,) = parse_label_file(" ".join(tokens))
+        assert a.dims == pytest.approx((1.65, 0.0, 3.64))
+
+    def test_dont_care_keeps_placeholders(self):
+        line = "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10"
+        (a,) = parse_label_file(line)
+        assert a.occlusion == -1
+        assert a.dims == (-1.0, -1.0, -1.0)
+        assert a.location == (-1000.0, -1000.0, -1000.0)
+
     def test_file_order_preserved(self):
         text = "\n".join([FIXTURE_LINE.replace("Car", c)
                           for c in ("Car", "Van", "Truck")])

@@ -73,6 +73,25 @@ class TestBuildGraph:
                 assert graph.s[i, j] == pytest.approx(similarity(
                     batch.u2d[i], batch.u2d[j], batch.z3d[i], batch.z3d[j], 100.0))
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("lam", [1e-3, 100.0, 1e4])
+    def test_equals_closed_form_bytes(self, seed, lam):
+        rng = np.random.default_rng(seed)
+        m = 40
+        z = rng.uniform(1, 85, size=m)
+        z[rng.integers(0, m, size=10)] = z[0]          # duplicate depths
+        u = rng.uniform(0, 1, size=m)
+        u[: m // 2] *= 1242.0                            # raw pixels: S underflows
+        graph = build_graph(FeatureBatch(x=np.zeros((2, m)), u2d=u, z3d=z), lam)
+        du = u[:, None] - u[None, :]
+        dz = z[:, None] - z[None, :]
+        s = np.exp(-du * du - dz * dz / lam)
+        d = s.sum(axis=1)
+        assert (s == 0).any()
+        assert graph.s.tobytes() == s.tobytes()
+        assert graph.d.tobytes() == d.tobytes()
+        assert graph.p.tobytes() == (np.diag(d) - s).tobytes()
+
     @given(seed=st.integers(0, 10_000))
     def test_row_sums_vanish(self, seed):
         _, _, graph = random_instance(seed)

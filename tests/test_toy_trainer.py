@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
 
+from mono3d import locality, toy_trainer
 from mono3d.locality import LinearHead, similarity
 from mono3d.losses import LossConfig
 from mono3d.toy_trainer import (SyntheticScene, TrainingDiverged, generate_scene,
                                 neighbor_order_violations, run_paired_experiment, train)
+
+
+def brute_force_violations(head, scene, lam=100.0):
+    """The pairwise definition, one (i, j) pair at a time."""
+    u_pred = head.predict(scene.features)[0]
+    u_gt, z_gt = scene.gt
+    cutoff = np.sqrt(lam) / 2.0
+    count = 0
+    for i in range(scene.size):
+        for j in range(i + 1, scene.size):
+            if abs(z_gt[i] - z_gt[j]) >= cutoff:
+                continue
+            if (u_gt[i] - u_gt[j]) * (u_pred[i] - u_pred[j]) < 0:
+                count += 1
+    return count
 
 
 class TestGenerateScene:
@@ -93,6 +109,46 @@ class TestNeighborOrderViolations:
                     expected += 1
         assert neighbor_order_violations(head, scene, lam=100.0) == expected
 
+    # Predicted u is the first feature row, so a test sets it directly.
+    U_HEAD = LinearHead(w=np.array([[1.0, 0.0], [0.0, 1.0]]), b=np.zeros(2))
+
+    def pair_scene(self, u_gt, z_gt, u_pred):
+        m = len(u_gt)
+        return SyntheticScene(features=np.vstack([u_pred, z_gt]),
+                              u2d_norm=np.full(m, 0.5), gt=np.vstack([u_gt, z_gt]),
+                              seed=0, noise_sigma=0.0)
+
+    def test_single_object(self):
+        scene = self.pair_scene([0.3], [20.0], [0.1])
+        assert neighbor_order_violations(self.U_HEAD, scene) == 0
+
+    @pytest.mark.parametrize("z_gap,u_gt,u_pred,expected", [
+        (4.0, [0.0, 1.0], [1.0, 0.0], 1),      # flipped, near
+        (5.0, [0.0, 1.0], [1.0, 0.0], 0),      # gap == sqrt(100) / 2: excluded
+        (4.0, [0.5, 0.5], [1.0, 0.0], 0),      # equal ground truth: product 0
+        (4.0, [0.0, 1.0], [0.2, 0.2], 0),      # equal prediction: product 0
+        (4.0, [0.0, 1.0], [0.0, 1.0], 0),      # same order
+    ])
+    def test_two_objects(self, z_gap, u_gt, u_pred, expected):
+        scene = self.pair_scene(u_gt, [10.0, 10.0 + z_gap], u_pred)
+        assert neighbor_order_violations(self.U_HEAD, scene, lam=100.0) == expected
+        assert brute_force_violations(self.U_HEAD, scene, lam=100.0) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force_at_scale(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 300
+        # depths on a 0.5 m grid, so many pairs sit exactly at the 5 m cutoff
+        z = 10.0 + 0.5 * rng.integers(0, 40, size=m)
+        u = np.round(rng.normal(size=m), 1)        # many equal ground truths
+        u_pred = u + rng.normal(scale=0.3, size=m)
+        u_pred[rng.integers(0, m, size=m // 4)] = 0.0  # many equal predictions
+        scene = self.pair_scene(u, z, u_pred)
+        for lam in (100.0, 4.0, 1e6):
+            expected = brute_force_violations(self.U_HEAD, scene, lam)
+            assert expected > 0
+            assert neighbor_order_violations(self.U_HEAD, scene, lam) == expected
+
     def test_depth_cutoff_excludes_far_pairs(self):
         u = np.array([0.0, 1.0])
         z = np.array([10.0, 60.0])
@@ -103,6 +159,20 @@ class TestNeighborOrderViolations:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("use_regularizer,expected_calls", [(False, 0), (True, 1)])
+    def test_graph_built_only_for_the_regularizer(self, monkeypatch, use_regularizer,
+                                                  expected_calls):
+        calls = []
+
+        def counting_build_graph(batch, lam):
+            calls.append(lam)
+            return locality.build_graph(batch, lam)
+
+        monkeypatch.setattr(toy_trainer, "build_graph", counting_build_graph)
+        scene = generate_scene(20, 8, 0.1, seed=3)
+        train(scene, LossConfig(), use_regularizer, epochs=5, seed=3)
+        assert len(calls) == expected_calls
+
     def test_deterministic(self):
         scene = generate_scene(20, 8, 0.1, seed=3)
         cfg = LossConfig()

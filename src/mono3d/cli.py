@@ -3,7 +3,8 @@
 Commands:
   validate    parse every label/calib file on a split and report problems
   eval        AP tables, localization report, and depth-bin CSV for a split
-  train-toy   paired regularised/unregularised toy training runs
+  train-toy   paired regularised/unregularised toy training runs, with a
+              per-seed table of both arms on stdout
   iou-oracle  analytic rotated-box overlap vs Monte-Carlo sampling
 
 Outputs are JSON (stable key order, 6-decimal floats) plus CSV sidecars,
@@ -237,9 +238,32 @@ def cmd_train_toy(args) -> int:
         "comparison": outcome["summary"],
     }
     write_json(args.out, payload)
+    for line in _toy_table(seeds, outcome["reports"]):
+        print(line)
     for key, value in outcome["summary"].items():
         print(f"train-toy: {key} = {value:.4f}")
     return EXIT_OK
+
+
+def _toy_table(seeds: list[int], reports: dict) -> list[str]:
+    """Per seed, each arm's held-out ordering violations, epochs to
+    tolerance ("-" if never reached) and final mean L1 error."""
+    arms = [(key, short) for key, short in (("regularized", "reg"),
+                                            ("unregularized", "unreg"))
+            if reports[key]]
+    if not arms:
+        return []
+    lines = [f"{'seed':>6}" + "".join(f" {'viol ' + short:>11} {'epochs ' + short:>13}"
+                                      f" {'final L1 ' + short:>15}"
+                                      for _, short in arms)]
+    for i, seed in enumerate(seeds):
+        row = f"{seed:>6}"
+        for key, _ in arms:
+            r = reports[key][i]
+            epochs = "-" if r.epochs_to_tolerance is None else r.epochs_to_tolerance
+            row += f" {r.neighbor_order_violations:>11} {epochs:>13} {r.final_l1:>15.4f}"
+        lines.append(row)
+    return lines
 
 
 def cmd_iou_oracle(args) -> int:

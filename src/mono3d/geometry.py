@@ -8,7 +8,7 @@ Camera coordinates follow KITTI: x right, y down, z forward. A box's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,13 +17,12 @@ from .kitti_io import CameraCalibration
 
 @dataclass
 class Box2D:
-    """Axis-aligned image box given by centre, size, and optional confidence."""
+    """Axis-aligned image box given by centre and size."""
 
     center_u: float
     center_v: float
     width: float
     height: float
-    confidence: Optional[float] = None
 
 
 @dataclass

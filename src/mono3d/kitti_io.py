@@ -6,16 +6,17 @@ files are ``KEY: v0 ... v11`` lines of which only the left colour camera
 projection ``P2`` is consumed. Split files list one frame id per line.
 
 Parsing is strict and total: every line either yields an annotation of
-finite values, an integral occlusion code and non-negative dimensions
-(``DontCare`` rows excepted) or a located error (line number, field
-index); nothing is dropped silently.
+finite values, an integral occlusion code, non-negative dimensions, a 2D
+box with right >= left and bottom >= top, and (on ground-truth lines) a
+truncation in [0, 1] (``DontCare`` rows excepted), or a located error
+(line number, field index); nothing is dropped silently.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,19 +111,6 @@ class Difficulty(enum.IntEnum):
     IGNORED = 3
 
 
-@dataclass
-class DatasetSplit:
-    """Ordered train/val frame id lists; the two sets must not overlap."""
-
-    train_ids: list[str] = field(default_factory=list)
-    val_ids: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        overlap = set(self.train_ids) & set(self.val_ids)
-        if overlap:
-            raise ValueError(f"train/val split overlaps on {sorted(overlap)[:5]}")
-
-
 def frame_id(index: int) -> str:
     """Zero-padded 6-digit frame identifier, matching KITTI file naming."""
     return f"{index:06d}"
@@ -148,6 +136,15 @@ def _parse_fields(tokens: list[str], line_number: int) -> ObjectAnnotation:
             if values[i - 1] < 0:
                 raise LabelFormatError(f"dimension {tokens[i]!r} is negative",
                                        line_number=line_number, field_index=i)
+        for lo, hi in ((4, 6), (5, 7)):  # (left, right), (top, bottom)
+            if values[hi - 1] < values[lo - 1]:
+                raise LabelFormatError(
+                    f"2D box edge {tokens[hi]!r} lies before {tokens[lo]!r}",
+                    line_number=line_number, field_index=hi)
+        # Result files may write -1 for an unknown truncation; labels may not.
+        if len(tokens) == GT_FIELD_COUNT and not 0.0 <= values[0] <= 1.0:
+            raise LabelFormatError(f"truncation {tokens[1]!r} is outside [0, 1]",
+                                   line_number=line_number, field_index=1)
     score = values[14] if len(values) == 15 else None
     return ObjectAnnotation(
         class_name=tokens[0],

@@ -171,6 +171,16 @@ def neighbor_order_violations(head: LinearHead, scene: SyntheticScene,
     return count
 
 
+@dataclass
+class _Run:
+    """One (scene, arm, seed) training run; ``context`` names it in errors."""
+
+    scene: SyntheticScene
+    use_regularizer: bool
+    seed: int
+    context: str = ""
+
+
 def train(scene: SyntheticScene, cfg: LossConfig, use_regularizer: bool,
           lr: float = 1e-3, epochs: int = 2000, seed: int = 0,
           tolerance: float = TOLERANCE_L1) -> tuple[LinearHead, TrainReport]:
@@ -183,77 +193,138 @@ def train(scene: SyntheticScene, cfg: LossConfig, use_regularizer: bool,
     fixed (scene, seed). The report's violation count is taken on the
     scene's validation view.
     """
+    (result,) = _train_runs([_Run(scene, use_regularizer, seed)], cfg, lr=lr,
+                            epochs=epochs, tolerance=tolerance)
+    return result
+
+
+def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
+                tolerance: float) -> list[tuple[LinearHead, TrainReport]]:
+    """Train runs over same-shaped scenes in one stacked epoch loop.
+
+    The state of run k is slice k of K x ... arrays, and every product is
+    a batched ``@``. Each slice goes through the float operations of a
+    lone :func:`train` call: one GEMM per slice, with X^T passed as a
+    transposed view as in the 2-D code, and each sum taken over one
+    run's contiguous slice. Heads, loss curves and reports are therefore
+    bitwise those of training the runs one after another, in the order
+    given. That order also settles divergence: when run k diverges, it
+    and every later run leave the stack, because run by run they would
+    never have started. The earliest run that diverged raises
+    :class:`TrainingDiverged` with its context once the loop ends.
+    """
+    if not runs:
+        return []
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
 
-    batch = scene.batch()
-    x = batch.x
-    gt = scene.gt
-    m = scene.size
-    # Only the regulariser reads the graph, and only through X P X^T.
-    xpxt = x @ build_graph(batch, cfg.lam).p @ x.T if use_regularizer else None
+    # rank[slot] is the index in ``runs`` of the run in that slot of the
+    # stack. Regularised runs take the first slots, so they are a prefix view.
+    rank = np.array(sorted(range(len(runs)), key=lambda k: not runs[k].use_regularizer))
+    scenes = [runs[k].scene for k in rank]
+    n_reg = sum(runs[k].use_regularizer for k in rank)
+    # Only the regulariser reads the graph, and only through X P X^T; each
+    # graph is dropped as soon as its product is taken.
+    xpxt = np.stack([s.features @ build_graph(s.batch(), cfg.lam).p @ s.features.T
+                     for s in scenes[:n_reg]]) if n_reg else None
+    x = np.stack([s.features for s in scenes])
+    gt = np.stack([s.gt for s in scenes])
+    m = gt.shape[2]
 
-    rng = np.random.default_rng(seed)
-    w = 0.01 * rng.normal(size=(2, x.shape[0]))
+    w = np.stack([0.01 * np.random.default_rng(runs[k].seed).normal(size=(2, x.shape[1]))
+                  for k in rank])
     # start the output bias at the target mean, as regression heads usually do
-    b = gt.mean(axis=1)
+    b = gt.mean(axis=2)
     vel_w = np.zeros_like(w)
     vel_b = np.zeros_like(b)
 
-    loss_curve = []
-    epochs_to_tolerance: Optional[int] = None
+    curves = np.empty((len(rank), epochs))
+    reached = np.full(len(rank), -1)       # epoch of first tolerance hit, -1 before
+    diverged: Optional[tuple[int, int]] = None   # (run index, last finite epoch)
     step = lr
     for epoch in range(epochs):
-        residual = (w @ x + b[:, None]) - gt
-        data_l1 = float(np.abs(residual).sum())
+        residual = (w @ x + b[:, :, None]) - gt
+        data_l1 = np.abs(residual).reshape(len(rank), -1).sum(axis=1)
         objective = data_l1
-        if use_regularizer:
-            objective += cfg.beta * float(np.trace(w @ xpxt @ w.T))
-        if not np.isfinite(objective) or objective > DIVERGENCE_LIMIT:
-            raise TrainingDiverged(epoch - 1)
-        loss_curve.append(objective)
-        if epochs_to_tolerance is None and data_l1 / m < tolerance:
-            epochs_to_tolerance = epoch
+        if n_reg:
+            # W X P X^T serves both R(W) and its gradient.
+            w_xpxt = w[:n_reg] @ xpxt
+            objective = data_l1.copy()
+            objective[:n_reg] += cfg.beta * np.trace(
+                w_xpxt @ w[:n_reg].transpose(0, 2, 1), axis1=1, axis2=2)
+        bad = ~np.isfinite(objective) | (objective > DIVERGENCE_LIMIT)
+        if bad.any():
+            first = int(rank[bad].min())
+            diverged = (first, epoch - 1)
+            keep = rank < first
+            if not keep.any():
+                break
+            keep_reg = keep[:n_reg]
+            n_reg = int(keep_reg.sum())
+            if n_reg:
+                xpxt, w_xpxt = xpxt[keep_reg], w_xpxt[keep_reg]
+            (rank, x, gt, w, b, vel_w, vel_b, curves, reached,
+             residual, data_l1, objective) = (
+                a[keep] for a in (rank, x, gt, w, b, vel_w, vel_b, curves, reached,
+                                  residual, data_l1, objective))
+        curves[:, epoch] = objective
+        reached[(reached < 0) & (data_l1 / m < tolerance)] = epoch
 
         sign = np.sign(residual)
-        grad_w = sign @ x.T
-        grad_b = sign.sum(axis=1)
-        if use_regularizer:
-            grad_w = grad_w + 2.0 * cfg.beta * (w @ xpxt)
-        vel_w = MOMENTUM * vel_w - step * grad_w
-        vel_b = MOMENTUM * vel_b - step * grad_b
-        w = w + vel_w
-        b = b + vel_b
+        grad_w = sign @ x.transpose(0, 2, 1)
+        grad_b = sign.sum(axis=2)
+        if n_reg:
+            grad_w[:n_reg] += 2.0 * cfg.beta * w_xpxt
+        vel_w *= MOMENTUM
+        vel_w -= step * grad_w
+        vel_b *= MOMENTUM
+        vel_b -= step * grad_b
+        w += vel_w
+        b += vel_b
         step *= LR_DECAY
 
-    head = LinearHead(w=w, b=b)
-    final_l1 = float(np.abs(head.predict(x) - gt).sum()) / m
-    if epochs_to_tolerance is None and final_l1 < tolerance:
-        epochs_to_tolerance = epochs
-    report = TrainReport(
-        epochs_to_tolerance=epochs_to_tolerance,
-        final_l1=final_l1,
-        neighbor_order_violations=neighbor_order_violations(
-            head, scene.validation_view(), cfg.lam),
-        loss_curve=loss_curve,
-        config={
-            "n_objects": m,
-            "feature_dim": int(x.shape[0]),
-            "noise_sigma": scene.noise_sigma,
-            "scene_seed": scene.seed,
-            "train_seed": seed,
-            "use_regularizer": use_regularizer,
-            "lr": lr,
-            "epochs": epochs,
-            "tolerance": tolerance,
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
-            "gamma": cfg.gamma,
-            "lam": cfg.lam,
-        })
-    return head, report
+    if diverged is not None:
+        k, last_finite = diverged
+        raise TrainingDiverged(last_finite, runs[k].context)
+
+    results: list = [None] * len(runs)
+    for slot, k in enumerate(rank):
+        run = runs[k]
+        scene = run.scene
+        head = LinearHead(w=w[slot].copy(), b=b[slot].copy())
+        final_l1 = float(np.abs(head.predict(scene.features) - scene.gt).sum()) / m
+        epochs_to_tolerance = int(reached[slot]) if reached[slot] >= 0 else None
+        if epochs_to_tolerance is None and final_l1 < tolerance:
+            epochs_to_tolerance = epochs
+        report = TrainReport(
+            epochs_to_tolerance=epochs_to_tolerance,
+            final_l1=final_l1,
+            neighbor_order_violations=neighbor_order_violations(
+                head, scene.validation_view(), cfg.lam),
+            loss_curve=curves[slot].tolist(),
+            config={
+                "n_objects": m,
+                "feature_dim": int(x.shape[1]),
+                "noise_sigma": scene.noise_sigma,
+                "scene_seed": scene.seed,
+                "train_seed": run.seed,
+                "use_regularizer": run.use_regularizer,
+                "lr": lr,
+                "epochs": epochs,
+                "tolerance": tolerance,
+                "alpha": cfg.alpha,
+                "beta": cfg.beta,
+                "gamma": cfg.gamma,
+                "lam": cfg.lam,
+            })
+        results[k] = (head, report)
+    return results
+
+
+def _arm_key(use_regularizer: bool) -> str:
+    return "regularized" if use_regularizer else "unregularized"
 
 
 def run_paired_experiment(seeds: Sequence[int], cfg: LossConfig,
@@ -263,22 +334,21 @@ def run_paired_experiment(seeds: Sequence[int], cfg: LossConfig,
                           arms: Sequence[bool] = (True, False)) -> dict:
     """Train regularised/unregularised arms on identical scenes per seed.
 
-    Returns both arms' reports plus aggregate violation counts and the
-    epochs-to-tolerance ratio (runs that never reach tolerance count as
-    the full epoch budget).
+    All (seed, arm) runs train together in one stacked loop, with the
+    results and the divergence error of training them one by one in
+    (seed, arm) order. Returns both arms' reports plus aggregate
+    violation counts and the epochs-to-tolerance ratio (runs that never
+    reach tolerance count as the full epoch budget).
     """
-    results: dict = {"regularized": [], "unregularized": []}
+    runs = []
     for seed in seeds:
         scene = generate_scene(n_objects, feature_dim, noise_sigma, seed)
-        for use_reg in arms:
-            key = "regularized" if use_reg else "unregularized"
-            try:
-                _, report = train(scene, cfg, use_regularizer=use_reg,
-                                  lr=lr, epochs=epochs, seed=seed)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(exc.epoch,
-                                       context=f"{key} arm, seed {seed}") from exc
-            results[key].append(report)
+        runs += [_Run(scene, use_reg, seed, context=f"{_arm_key(use_reg)} arm, seed {seed}")
+                 for use_reg in arms]
+    results: dict = {"regularized": [], "unregularized": []}
+    for run, (_, report) in zip(runs, _train_runs(runs, cfg, lr=lr, epochs=epochs,
+                                                  tolerance=TOLERANCE_L1)):
+        results[_arm_key(run.use_regularizer)].append(report)
 
     def mean_violations(reports):
         return float(np.mean([r.neighbor_order_violations for r in reports]))

@@ -188,6 +188,35 @@ class TestTrainToy:
         assert "regularized" not in payload["arms"]
         assert len(payload["arms"]["unregularized"]) == 1
 
+    def test_per_seed_table_on_stdout(self, tmp_path, capsys):
+        out = tmp_path / "toy.json"
+        assert run(["train-toy", "--out", out, "--seed", "4", "--n-seeds", "2",
+                    "--n-objects", "12", "--feature-dim", "6", "--epochs", "150"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["seed", "viol", "reg", "epochs", "reg", "final", "L1",
+                                    "reg", "viol", "unreg", "epochs", "unreg", "final",
+                                    "L1", "unreg"]
+        arms = json.loads(out.read_text())["arms"]
+        for row, reg, unreg in zip(lines[1:3], arms["regularized"], arms["unregularized"]):
+            cells = row.split()
+            assert int(cells[0]) == reg["config"]["scene_seed"]
+            for arm, (viol, epochs, final_l1) in ((reg, cells[1:4]), (unreg, cells[4:7])):
+                assert int(viol) == arm["neighbor_order_violations"]
+                assert epochs == ("-" if arm["epochs_to_tolerance"] is None
+                                  else str(arm["epochs_to_tolerance"]))
+                assert float(final_l1) == pytest.approx(arm["final_l1"], abs=5e-5)
+        assert lines[3].startswith("train-toy: mean_violations_regularized = ")
+
+    def test_single_arm_table(self, tmp_path, capsys):
+        assert run(["train-toy", "--out", tmp_path / "toy.json", "--n-seeds", "3",
+                    "--n-objects", "8", "--feature-dim", "4", "--epochs", "50",
+                    "--no-reg"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["seed", "viol", "unreg", "epochs", "unreg",
+                                    "final", "L1", "unreg"]
+        assert [line.split()[0] for line in lines[1:4]] == ["1", "2", "3"]
+        assert lines[4].startswith("train-toy: mean_violations_unregularized = ")
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["--seed", "2", "--n-seeds", "2", "--n-objects", "12",
                 "--feature-dim", "6", "--epochs", "120"]

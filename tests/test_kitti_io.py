@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mono3d.kitti_io import (CalibFormatError, DatasetSplit, Difficulty,
+from mono3d.kitti_io import (CalibFormatError, Difficulty,
                              LabelFormatError, ObjectAnnotation, assign_difficulty,
                              frame_id, parse_calib_file, parse_label_file,
                              read_split_file, write_prediction_file)
@@ -93,6 +93,47 @@ class TestParseLabelFile:
         tokens[9] = "0.00"
         (a,) = parse_label_file(" ".join(tokens))
         assert a.dims == pytest.approx((1.65, 0.0, 3.64))
+
+    @pytest.mark.parametrize("field_index,value", [(6, "587.00"), (7, "173.32"),
+                                                   (6, "0"), (7, "-200.12")])
+    def test_inverted_box_located(self, field_index, value):
+        tokens = FIXTURE_LINE.split()
+        tokens[field_index] = value
+        with pytest.raises(LabelFormatError, match="lies before") as exc:
+            parse_label_file(FIXTURE_LINE + "\n" + " ".join(tokens) + "\n")
+        assert exc.value.line_number == 2
+        assert exc.value.field_index == field_index
+
+    def test_inverted_box_on_prediction_line_located(self):
+        with pytest.raises(LabelFormatError, match="lies before") as exc:
+            parse_label_file("Car 0 0 0 0 60 10 10 1.5 1.6 3.9 1 1.6 10 0.9 0.8")
+        assert exc.value.field_index == 7
+
+    def test_zero_size_box_accepted(self):
+        (a,) = parse_label_file("Car 0 0 0 10 60 10 60 1.5 1.6 3.9 1 1.6 10 0.9")
+        assert a.box_height == 0.0
+
+    @pytest.mark.parametrize("value", ["1.7", "-0.01", "-1", "1.000001"])
+    def test_truncation_out_of_range_located(self, value):
+        tokens = FIXTURE_LINE.split()
+        tokens[1] = value
+        with pytest.raises(LabelFormatError, match="truncation") as exc:
+            parse_label_file(" ".join(tokens))
+        assert exc.value.line_number == 1
+        assert exc.value.field_index == 1
+
+    @pytest.mark.parametrize("value", ["0", "1", "0.5"])
+    def test_truncation_bounds_accepted(self, value):
+        tokens = FIXTURE_LINE.split()
+        tokens[1] = value
+        (a,) = parse_label_file(" ".join(tokens))
+        assert a.truncation == float(value)
+
+    def test_prediction_keeps_unknown_truncation(self):
+        # KITTI result files write -1 for fields a detector does not estimate.
+        (a,) = parse_label_file(FIXTURE_LINE.replace("Car 0.00", "Car -1") + " 0.9")
+        assert a.truncation == -1.0
+        assert a.score == pytest.approx(0.9)
 
     def test_dont_care_keeps_placeholders(self):
         line = "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10"
@@ -244,14 +285,6 @@ class TestSplits:
     def test_read_split_file(self):
         assert read_split_file("000000\n000003\n\n000010\n") == \
             ["000000", "000003", "000010"]
-
-    def test_disjoint_split_ok(self):
-        split = DatasetSplit(train_ids=["000000"], val_ids=["000001"])
-        assert split.train_ids == ["000000"]
-
-    def test_overlapping_split_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetSplit(train_ids=["000000", "000001"], val_ids=["000001"])
 
     def test_frame_id_padding(self):
         assert frame_id(7) == "000007"

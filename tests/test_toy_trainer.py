@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mono3d import locality, toy_trainer
-from mono3d.locality import LinearHead, similarity
+from mono3d import cli, locality, toy_trainer
+from mono3d.locality import LinearHead, build_graph, similarity
 from mono3d.losses import LossConfig
-from mono3d.toy_trainer import (SyntheticScene, TrainingDiverged, generate_scene,
-                                neighbor_order_violations, run_paired_experiment, train)
+from mono3d.toy_trainer import (DIVERGENCE_LIMIT, LR_DECAY, MOMENTUM, TOLERANCE_L1,
+                                SyntheticScene, TrainingDiverged, TrainReport,
+                                generate_scene, neighbor_order_violations,
+                                run_paired_experiment, train)
 
 
 def brute_force_violations(head, scene, lam=100.0):
@@ -21,6 +25,79 @@ def brute_force_violations(head, scene, lam=100.0):
             if (u_gt[i] - u_gt[j]) * (u_pred[i] - u_pred[j]) < 0:
                 count += 1
     return count
+
+
+def reference_train(scene, cfg, use_regularizer, lr=1e-3, epochs=2000, seed=0,
+                    tolerance=TOLERANCE_L1):
+    """One run's own epoch loop on 2-D arrays, as `train` ran before the
+    runs were stacked."""
+    x, gt, m = scene.features, scene.gt, scene.size
+    xpxt = x @ build_graph(scene.batch(), cfg.lam).p @ x.T if use_regularizer else None
+    rng = np.random.default_rng(seed)
+    w = 0.01 * rng.normal(size=(2, x.shape[0]))
+    b = gt.mean(axis=1)
+    vel_w = np.zeros_like(w)
+    vel_b = np.zeros_like(b)
+    loss_curve = []
+    epochs_to_tolerance = None
+    step = lr
+    for epoch in range(epochs):
+        residual = (w @ x + b[:, None]) - gt
+        data_l1 = float(np.abs(residual).sum())
+        objective = data_l1
+        if use_regularizer:
+            objective += cfg.beta * float(np.trace(w @ xpxt @ w.T))
+        if not np.isfinite(objective) or objective > DIVERGENCE_LIMIT:
+            raise TrainingDiverged(epoch - 1)
+        loss_curve.append(objective)
+        if epochs_to_tolerance is None and data_l1 / m < tolerance:
+            epochs_to_tolerance = epoch
+        sign = np.sign(residual)
+        grad_w = sign @ x.T
+        grad_b = sign.sum(axis=1)
+        if use_regularizer:
+            grad_w = grad_w + 2.0 * cfg.beta * (w @ xpxt)
+        vel_w = MOMENTUM * vel_w - step * grad_w
+        vel_b = MOMENTUM * vel_b - step * grad_b
+        w = w + vel_w
+        b = b + vel_b
+        step *= LR_DECAY
+    head = LinearHead(w=w, b=b)
+    final_l1 = float(np.abs(head.predict(x) - gt).sum()) / m
+    if epochs_to_tolerance is None and final_l1 < tolerance:
+        epochs_to_tolerance = epochs
+    report = TrainReport(
+        epochs_to_tolerance=epochs_to_tolerance, final_l1=final_l1,
+        neighbor_order_violations=brute_force_violations(
+            head, scene.validation_view(), cfg.lam),
+        loss_curve=loss_curve)
+    return head, report
+
+
+def reference_paired_runs(seeds, cfg, n_objects, feature_dim=24, noise_sigma=0.1,
+                          lr=1e-3, epochs=2000, arms=(True, False)):
+    """(arm key, head, report) of every run, trained one after another in
+    (seed, arm) order; the first divergence stops the experiment."""
+    runs = []
+    for seed in seeds:
+        scene = generate_scene(n_objects, feature_dim, noise_sigma, seed)
+        for use_reg in arms:
+            key = "regularized" if use_reg else "unregularized"
+            try:
+                head, report = reference_train(scene, cfg, use_reg, lr=lr,
+                                               epochs=epochs, seed=seed)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(exc.epoch, context=f"{key} arm, seed {seed}")
+            runs.append((key, head, report))
+    return runs
+
+
+def assert_reports_identical(report, expected):
+    assert np.array(report.loss_curve).tobytes() == \
+        np.array(expected.loss_curve).tobytes()
+    assert report.final_l1 == expected.final_l1
+    assert report.epochs_to_tolerance == expected.epochs_to_tolerance
+    assert report.neighbor_order_violations == expected.neighbor_order_violations
 
 
 class TestGenerateScene:
@@ -247,3 +324,88 @@ class TestPairedExperiment:
                                     epochs=100, arms=(False,))
         assert out["reports"]["regularized"] == []
         assert "epochs_ratio" not in out["summary"]
+
+
+class TestStackedTraining:
+    """The stacked loop against the per-run loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("use_regularizer", [True, False])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_train_matches_reference(self, use_regularizer, seed):
+        scene = generate_scene(30, 12, 0.1, seed=seed)
+        head, report = train(scene, LossConfig(), use_regularizer, epochs=300, seed=seed)
+        ref_head, ref_report = reference_train(scene, LossConfig(), use_regularizer,
+                                               epochs=300, seed=seed)
+        assert head.w.tobytes() == ref_head.w.tobytes()
+        assert head.b.tobytes() == ref_head.b.tobytes()
+        assert_reports_identical(report, ref_report)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(seeds=[1, 2, 3, 4], n_objects=50, epochs=2000),
+        dict(seeds=[5, 9], n_objects=40, feature_dim=16, noise_sigma=0.3, epochs=700),
+        dict(seeds=[1, 2, 3], n_objects=50, epochs=400, arms=(False,)),
+        dict(seeds=[1, 2, 3], n_objects=50, epochs=400, arms=(True,)),
+        dict(seeds=[2, 1], n_objects=50, epochs=400, arms=(False, True)),
+        dict(seeds=[1, 2, 3], n_objects=1, epochs=300),
+        dict(seeds=[1, 2, 3], n_objects=50, epochs=1),
+        dict(seeds=[3], n_objects=200, feature_dim=24, epochs=300, lr=1e-4),
+    ])
+    def test_paired_experiment_matches_reference(self, kwargs):
+        cfg = LossConfig()
+        expected = reference_paired_runs(cfg=cfg, **kwargs)
+        out = run_paired_experiment(cfg=cfg, **kwargs)
+        reports = out["reports"]
+        for key in ("regularized", "unregularized"):
+            ref = [r for k, _, r in expected if k == key]
+            assert len(reports[key]) == len(ref)
+            for report, ref_report in zip(reports[key], ref):
+                assert_reports_identical(report, ref_report)
+        # the stacked core's heads, in run order, equal the reference heads
+        runs = [toy_trainer._Run(generate_scene(kwargs["n_objects"],
+                                                kwargs.get("feature_dim", 24),
+                                                kwargs.get("noise_sigma", 0.1), seed),
+                                 use_reg, seed)
+                for seed in kwargs["seeds"] for use_reg in kwargs.get("arms", (True, False))]
+        trained = toy_trainer._train_runs(runs, cfg, lr=kwargs.get("lr", 1e-3),
+                                          epochs=kwargs["epochs"], tolerance=TOLERANCE_L1)
+        for (head, _), (_, ref_head, _) in zip(trained, expected, strict=True):
+            assert head.w.tobytes() == ref_head.w.tobytes()
+            assert head.b.tobytes() == ref_head.b.tobytes()
+
+    @pytest.mark.parametrize("seeds", [[1, 2, 3], [4, 6], [6, 4], [3, 7, 2]])
+    def test_divergence_matches_reference(self, seeds):
+        # M = 100 at the CLI defaults: the regularised arm diverges on seeds
+        # 2 and 7 (last finite epoch 12), 4 (17) and 6 (11); seeds 1 and 3
+        # converge. In [4, 6] the earlier run diverges at the later epoch;
+        # in [3, 7, 2] two runs diverge in the same epoch.
+        cfg = LossConfig()
+        with pytest.raises(TrainingDiverged) as expected:
+            reference_paired_runs(seeds, cfg, n_objects=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as exc:
+                run_paired_experiment(seeds, cfg, n_objects=100)
+        assert exc.value.epoch == expected.value.epoch
+        assert str(exc.value) == str(expected.value)
+
+    def test_later_run_diverging_first_does_not_hide_an_earlier_one(self):
+        with pytest.raises(TrainingDiverged,
+                           match=r"was 17 \(regularized arm, seed 4\)$"):
+            run_paired_experiment([4, 6], LossConfig(), n_objects=100)
+
+    def test_cli_divergence_exit_code_and_message(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["train-toy", "--out", str(tmp_path / "toy.json"),
+                             "--n-objects", "100", "--n-seeds", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "train-toy: training diverged; last finite epoch was 12 "
+            "(regularized arm, seed 2)\n")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "toy.json").exists()
+
+    def test_no_runs(self):
+        out = run_paired_experiment([], LossConfig())
+        assert out == {"reports": {"regularized": [], "unregularized": []},
+                       "summary": {}}

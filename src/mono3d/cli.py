@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, kitti_io, toy_trainer
-from .geometry import Box3D
 from .losses import LossConfig
 
 EXIT_OK = 0
@@ -90,9 +89,7 @@ def build_parser() -> _Parser:
     toy.add_argument("--epochs", type=int, default=2000)
     toy.add_argument("--lr", type=float, default=1e-3)
     toy.add_argument("--lambda", dest="lam", type=float, default=100.0)
-    toy.add_argument("--alpha", type=float, default=10.0)
     toy.add_argument("--beta", type=float, default=10.0)
-    toy.add_argument("--gamma", type=float, default=10.0)
     toy.add_argument("--no-reg", action="store_true",
                      help="run only the unregularised arm")
 
@@ -210,7 +207,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    cfg = LossConfig(alpha=args.alpha, beta=args.beta, gamma=args.gamma, lam=args.lam)
+    if args.n_seeds < 1:
+        raise ValueError(f"--n-seeds must be at least 1, got {args.n_seeds}")
+    cfg = LossConfig(beta=args.beta, lam=args.lam)
     seeds = list(range(args.seed, args.seed + args.n_seeds))
     arms = (False,) if args.no_reg else (True, False)
     try:
@@ -228,9 +227,7 @@ def cmd_train_toy(args) -> int:
             "noise_sigma": args.noise_sigma,
             "epochs": args.epochs,
             "lr": args.lr,
-            "alpha": cfg.alpha,
             "beta": cfg.beta,
-            "gamma": cfg.gamma,
             "lambda": cfg.lam,
         },
         "arms": {key: [r.to_dict() for r in reports]
@@ -267,17 +264,12 @@ def _toy_table(seeds: list[int], reports: dict) -> list[str]:
 
 
 def cmd_iou_oracle(args) -> int:
+    if args.n_pairs < 1:
+        raise ValueError(f"--n-pairs must be at least 1, got {args.n_pairs}")
     rng = np.random.default_rng(args.seed)
     deviations = []
     for k in range(args.n_pairs):
-        center = rng.uniform([-4.0, -1.0, -4.0], [4.0, 1.0, 4.0])
-        dims_a = rng.uniform(0.5, 3.0, size=3)
-        dims_b = rng.uniform(0.5, 3.0, size=3)
-        offset = rng.uniform(-2.0, 2.0, size=3)
-        a = Box3D(center=tuple(center), dims=tuple(dims_a),
-                  yaw=float(rng.uniform(-np.pi, np.pi)))
-        b = Box3D(center=tuple(center + offset), dims=tuple(dims_b),
-                  yaw=float(rng.uniform(-np.pi, np.pi)))
+        a, b = evaluation.random_box_pair(rng)
         analytic = evaluation.iou_3d(a, b)
         sampled = evaluation.monte_carlo_iou_3d(a, b, n_samples=args.n_samples,
                                                 seed=args.seed + k + 1)

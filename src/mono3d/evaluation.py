@@ -227,6 +227,8 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
     Uniform points inside box ``a`` are tested for membership in ``b``;
     the hit fraction scales a's exact volume into an intersection volume.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     ha, wa, la = a.dims
     hb, wb, lb = b.dims
@@ -243,6 +245,23 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
     vol_b = hb * wb * lb
     inter = vol_a * hits.mean()
     return float(inter / (vol_a + vol_b - inter))
+
+
+def random_box_pair(rng: np.random.Generator) -> tuple[Box3D, Box3D]:
+    """A seeded pair of rotated boxes close enough to overlap often: the
+    oracle's test distribution.
+
+    Draws, in order: a's centre, both dims, b's centre offset, both yaws.
+    """
+    center = rng.uniform([-4.0, -1.0, -4.0], [4.0, 1.0, 4.0])
+    dims_a = rng.uniform(0.5, 3.0, size=3)
+    dims_b = rng.uniform(0.5, 3.0, size=3)
+    offset = rng.uniform(-2.0, 2.0, size=3)
+    a = Box3D(center=tuple(center), dims=tuple(dims_a),
+              yaw=float(rng.uniform(-np.pi, np.pi)))
+    b = Box3D(center=tuple(center + offset), dims=tuple(dims_b),
+              yaw=float(rng.uniform(-np.pi, np.pi)))
+    return a, b
 
 
 def filter_by_difficulty(annotations: Sequence[ObjectAnnotation],

@@ -127,6 +127,20 @@ def _check_shapes(head: LinearHead, batch: FeatureBatch, graph: SimilarityGraph)
         raise ValueError(f"graph size {graph.s.shape} does not match batch size {m}")
 
 
+def quadratic_form(b: np.ndarray, m: np.ndarray,
+                   beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(beta * tr(B M B^T), 2*beta * B M)`` for symmetric M, from one B @ M.
+
+    The one home of R(W) and its gradient: with B = W X and M = P it is
+    the trace form, with B = W and M = X P X^T the same value and the
+    gradient in W. ``b`` and ``m`` may be K-stacks of matrices, giving K
+    values and K gradients, each bitwise equal to its own 2-D call.
+    """
+    bm = b @ m
+    value = beta * np.trace(bm @ np.swapaxes(b, -1, -2), axis1=-2, axis2=-1)
+    return value, 2.0 * beta * bm
+
+
 def reg_pairwise(head: LinearHead, batch: FeatureBatch, graph: SimilarityGraph,
                  beta: float = DEFAULT_BETA) -> float:
     """Direct double-sum form: (beta/2) * sum_ij ||W x_i - W x_j||^2 s_ij.
@@ -148,12 +162,13 @@ def reg_trace(head: LinearHead, batch: FeatureBatch, graph: SimilarityGraph,
     argument makes this the cheap route.
     """
     _check_shapes(head, batch, graph)
-    y = head.w @ batch.x
-    return beta * float(np.trace(y @ graph.p @ y.T))
+    value, _ = quadratic_form(head.w @ batch.x, graph.p, beta)
+    return float(value)
 
 
 def reg_gradient(head: LinearHead, batch: FeatureBatch, graph: SimilarityGraph,
                  beta: float = DEFAULT_BETA) -> np.ndarray:
     """Gradient of the trace form with respect to W: 2*beta * W X P X^T."""
     _check_shapes(head, batch, graph)
-    return 2.0 * beta * head.w @ batch.x @ graph.p @ batch.x.T
+    _, grad = quadratic_form(head.w @ batch.x, graph.p, beta)
+    return grad @ batch.x.T

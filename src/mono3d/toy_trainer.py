@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .kitti_io import CameraCalibration
-from .locality import DEFAULT_LAMBDA, FeatureBatch, LinearHead, build_graph
+from .locality import (DEFAULT_LAMBDA, FeatureBatch, LinearHead, build_graph,
+                       quadratic_form)
 from .losses import LossConfig
 
 TOY_IMAGE_WIDTH = 1242.0
@@ -121,6 +122,9 @@ def generate_scene(n_objects: int, feature_dim: int = 24, noise_sigma: float = 0
     """
     if n_objects < 1:
         raise ValueError(f"need at least one object, got {n_objects}")
+    if feature_dim < 2:
+        raise ValueError(f"feature_dim must be at least 2 for the (u, z) embedding, "
+                         f"got {feature_dim}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
     rng = np.random.default_rng(seed)
@@ -249,11 +253,9 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
         data_l1 = np.abs(residual).reshape(len(rank), -1).sum(axis=1)
         objective = data_l1
         if n_reg:
-            # W X P X^T serves both R(W) and its gradient.
-            w_xpxt = w[:n_reg] @ xpxt
+            reg, reg_grad = quadratic_form(w[:n_reg], xpxt, cfg.beta)
             objective = data_l1.copy()
-            objective[:n_reg] += cfg.beta * np.trace(
-                w_xpxt @ w[:n_reg].transpose(0, 2, 1), axis1=1, axis2=2)
+            objective[:n_reg] += reg
         bad = ~np.isfinite(objective) | (objective > DIVERGENCE_LIMIT)
         if bad.any():
             first = int(rank[bad].min())
@@ -264,7 +266,7 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
             keep_reg = keep[:n_reg]
             n_reg = int(keep_reg.sum())
             if n_reg:
-                xpxt, w_xpxt = xpxt[keep_reg], w_xpxt[keep_reg]
+                xpxt, reg_grad = xpxt[keep_reg], reg_grad[keep_reg]
             (rank, x, gt, w, b, vel_w, vel_b, curves, reached,
              residual, data_l1, objective) = (
                 a[keep] for a in (rank, x, gt, w, b, vel_w, vel_b, curves, reached,
@@ -276,7 +278,7 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
         grad_w = sign @ x.transpose(0, 2, 1)
         grad_b = sign.sum(axis=2)
         if n_reg:
-            grad_w[:n_reg] += 2.0 * cfg.beta * w_xpxt
+            grad_w[:n_reg] += reg_grad
         vel_w *= MOMENTUM
         vel_w -= step * grad_w
         vel_b *= MOMENTUM
@@ -314,9 +316,7 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
                 "lr": lr,
                 "epochs": epochs,
                 "tolerance": tolerance,
-                "alpha": cfg.alpha,
                 "beta": cfg.beta,
-                "gamma": cfg.gamma,
                 "lam": cfg.lam,
             })
         results[k] = (head, report)

@@ -1,7 +1,6 @@
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mono3d.kitti_io import CameraCalibration, ObjectAnnotation, write_prediction_file
@@ -119,14 +118,3 @@ def corpus(tmp_path):
 def calib():
     return CameraCalibration.from_intrinsics(f=700.0, theta=600.0, phi=170.0)
 
-
-def random_box_pair(rng):
-    """A pair of rotated boxes close enough to overlap often."""
-    from mono3d.geometry import Box3D
-    center = rng.uniform([-4.0, -1.0, -4.0], [4.0, 1.0, 4.0])
-    offset = rng.uniform(-2.0, 2.0, size=3)
-    a = Box3D(center=tuple(center), dims=tuple(rng.uniform(0.5, 3.0, 3)),
-              yaw=float(rng.uniform(-np.pi, np.pi)))
-    b = Box3D(center=tuple(center + offset), dims=tuple(rng.uniform(0.5, 3.0, 3)),
-              yaw=float(rng.uniform(-np.pi, np.pi)))
-    return a, b

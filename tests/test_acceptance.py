@@ -11,10 +11,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_box_pair, write_corpus
+from conftest import write_corpus
 from mono3d.cli import main as cli_main
 from mono3d.evaluation import (MatchResult, average_precision, iou_3d,
-                               monte_carlo_iou_3d)
+                               monte_carlo_iou_3d, random_box_pair)
 from mono3d.geometry import (Box2D, Box3D, box3d_corners, forward_project,
                              inverse_project)
 from mono3d.kitti_io import (CameraCalibration, ObjectAnnotation, parse_label_file,

@@ -225,6 +225,38 @@ class TestTrainToy:
         assert run(["train-toy", "--out", out2] + args) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("n_seeds", ["0", "-3"])
+    def test_no_seeds_is_input_error(self, tmp_path, capsys, n_seeds):
+        out = tmp_path / "toy.json"
+        assert run(["train-toy", "--out", out, "--n-seeds", n_seeds]) == 1
+        assert capsys.readouterr().err == \
+            f"mono3d: --n-seeds must be at least 1, got {n_seeds}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("feature_dim", ["1", "0"])
+    def test_feature_dim_below_two_is_input_error(self, tmp_path, capsys, feature_dim):
+        out = tmp_path / "toy.json"
+        assert run(["train-toy", "--out", out, "--n-seeds", "1",
+                    "--feature-dim", feature_dim]) == 1
+        assert "feature_dim must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
+    def test_unused_loss_weights_are_not_options(self, tmp_path, capsys, flag):
+        assert run(["train-toy", "--out", tmp_path / "toy.json", flag, "1"]) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_config_echoes_only_what_the_trainer_reads(self, tmp_path):
+        out = tmp_path / "toy.json"
+        assert run(["train-toy", "--out", out, "--n-seeds", "1", "--n-objects", "8",
+                    "--feature-dim", "4", "--epochs", "20"]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload["config"]) == ["seeds", "n_objects", "feature_dim",
+                                           "noise_sigma", "epochs", "lr", "beta",
+                                           "lambda"]
+        for report in payload["arms"]["regularized"] + payload["arms"]["unregularized"]:
+            assert "alpha" not in report["config"] and "gamma" not in report["config"]
+
     def test_divergence_exit_code(self, tmp_path):
         code = run(["train-toy", "--out", tmp_path / "toy.json", "--n-seeds", "1",
                     "--n-objects", "12", "--feature-dim", "6", "--epochs", "200",
@@ -248,6 +280,22 @@ class TestIouOracle:
         assert run(["iou-oracle", "--out", out1] + args) == 0
         assert run(["iou-oracle", "--out", out2] + args) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_no_samples_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "oracle.json"
+        assert run(["iou-oracle", "--out", out, "--n-pairs", "2",
+                    "--n-samples", "0"]) == 1
+        assert capsys.readouterr().err == \
+            "mono3d: n_samples must be at least 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_pairs", ["0", "-1"])
+    def test_no_pairs_is_input_error(self, tmp_path, capsys, n_pairs):
+        out = tmp_path / "oracle.json"
+        assert run(["iou-oracle", "--out", out, "--n-pairs", n_pairs]) == 1
+        assert capsys.readouterr().err == \
+            f"mono3d: --n-pairs must be at least 1, got {n_pairs}\n"
+        assert not out.exists()
 
 
 class TestUsage:

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_car, random_box_pair
+from conftest import make_car
 from mono3d import evaluation
 from mono3d.evaluation import (MatchResult, annotation_box3d, average_precision,
                                bev_iou, clip_convex, evaluate_frames,
                                filter_by_difficulty, iou_3d, localization_report,
-                               match_frame, monte_carlo_iou_3d, polygon_area)
+                               match_frame, monte_carlo_iou_3d, polygon_area,
+                               random_box_pair)
 from mono3d.geometry import Box3D
 from mono3d.kitti_io import Difficulty, assign_difficulty
 
@@ -85,6 +86,26 @@ class TestIou3D:
                          dims=bx.dims, yaw=bx.yaw + yaw)
 
         assert iou_3d(rotate(a), rotate(b)) == pytest.approx(base, abs=1e-9)
+
+    def test_random_box_pair_draw_order_is_pinned(self):
+        """The first pair at seed 0 is the one `iou-oracle --seed 0` has
+        always drawn first; a reordered draw changes its output."""
+        a, b = random_box_pair(np.random.default_rng(0))
+        assert a == Box3D(center=(1.0956934985716344, -0.4604265724722594,
+                                  -3.6722118085104425),
+                          dims=(0.5413190888213227, 2.533175598000681,
+                                2.7818889431943044),
+                          yaw=2.2456372993781644)
+        assert b == Box3D(center=(2.8359831937227074, 0.8029876440138692,
+                                  -5.66125780782985),
+                          dims=(2.0165894394179498, 2.323741402459996,
+                                1.8590624786635572),
+                          yaw=-2.930568260297326)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_monte_carlo_rejects_no_samples(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            monte_carlo_iou_3d(box(), box(), n_samples=n_samples)
 
     def test_monte_carlo_agreement_sample(self):
         rng = np.random.default_rng(99)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mono3d.locality import (FeatureBatch, LinearHead, SimilarityGraph, build_graph,
-                             reg_gradient, reg_pairwise, reg_trace, similarity)
+                             quadratic_form, reg_gradient, reg_pairwise, reg_trace,
+                             similarity)
 
 
 def random_instance(seed, m=None, n=None, scale=1.0):
@@ -209,3 +210,35 @@ class TestRegGradient:
         numeric = finite_difference_gradient(head, batch, graph, 10.0)
         denom = max(np.linalg.norm(numeric), 1e-12)
         assert np.linalg.norm(analytic - numeric) / denom <= 1e-5
+
+
+class TestQuadraticForm:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_reg_trace_keeps_the_cheap_association(self, seed):
+        head, batch, graph = random_instance(seed)
+        y = head.w @ batch.x
+        expected = 7.5 * float(np.trace(y @ graph.p @ y.T))
+        assert reg_trace(head, batch, graph, 7.5) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_stack_equals_per_slice_calls_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        m = np.stack([a @ a.T for a in rng.normal(size=(k, 24, 24))])
+        b = rng.normal(size=(k, 2, 24))
+        values, grads = quadratic_form(b, m, 10.0)
+        assert values.shape == (k,) and grads.shape == (k, 2, 24)
+        for i in range(k):
+            value, grad = quadratic_form(b[i], m[i], 10.0)
+            assert values[i].tobytes() == value.tobytes()
+            assert grads[i].tobytes() == grad.tobytes()
+
+    @given(seed=st.integers(0, 10_000))
+    def test_weight_form_equals_trace_form(self, seed):
+        """B = W with M = X P X^T gives R(W) and the gradient in W directly."""
+        head, batch, graph = random_instance(seed)
+        value, grad = quadratic_form(head.w, batch.x @ graph.p @ batch.x.T, 3.0)
+        assert float(value) == pytest.approx(reg_trace(head, batch, graph, 3.0),
+                                             rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(grad, reg_gradient(head, batch, graph, 3.0), rtol=1e-9,
+                                   atol=1e-9 * max(np.abs(grad).max(), 1.0))

@@ -144,6 +144,16 @@ class TestGenerateScene:
         with pytest.raises(ValueError):
             generate_scene(0, 8, 0.1, seed=0)
 
+    @pytest.mark.parametrize("feature_dim", [1, 0, -2])
+    def test_rejects_feature_dim_below_two(self, feature_dim):
+        with pytest.raises(ValueError,
+                           match=f"feature_dim must be at least 2.*got {feature_dim}$"):
+            generate_scene(10, feature_dim, 0.1, seed=0)
+
+    def test_smallest_feature_dim(self):
+        scene = generate_scene(10, 2, 0.0, seed=0)
+        assert scene.features.shape == (2, 10)
+
 
 class TestNeighborOrderViolations:
     def scene_with_gt(self, u, z):
@@ -303,6 +313,7 @@ class TestTrain:
         assert report.config["n_objects"] == 12
         assert report.config["train_seed"] == 9
         assert report.config["use_regularizer"] is True
+        assert "alpha" not in report.config and "gamma" not in report.config
         assert len(report.loss_curve) == 30
 
 

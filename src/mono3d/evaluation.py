@@ -12,14 +12,17 @@ recall grid (11-point by default, 40-point optional). Localization
 quality is reported as per-coordinate relative accuracy, optionally
 binned by depth.
 
-A split evaluation computes each frame's (prediction, ground truth)
-overlaps once, on first use, and shares them across every difficulty
-tier, metric and threshold, and the localization pass.
+A split evaluation clips every (prediction, ground truth) pair of a
+frame once into a per-frame overlap matrix, and every difficulty tier,
+metric and threshold, and the localization pass, reads its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_left
+from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -126,12 +129,10 @@ def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
 
 # A box with its BEV footprint and the footprint's signed area.
 _Footprinted = tuple[Box3D, np.ndarray, float]
-# A pair's (3D IoU, BEV IoU); None where both boxes are degenerate under it.
-_PairIous = tuple[Optional[float], Optional[float]]
 
-# Metrics in the order _pair_ious returns them, and the error for a pair
-# that is degenerate in both boxes under each.
-_METRICS = ("3d", "bev")
+# Metric -> its plane in a frame_overlaps matrix, and the error for a
+# pair that is degenerate in both boxes under each.
+_METRICS = {"3d": 0, "bev": 1}
 _DEGENERATE = ("both boxes are degenerate", "both footprints are degenerate")
 
 
@@ -140,15 +141,16 @@ def _footprinted(box: Box3D) -> _Footprinted:
     return box, footprint, polygon_area(footprint)
 
 
-def _pair_ious(a: _Footprinted, b: _Footprinted) -> _PairIous:
-    """3D and BEV IoU of two boxes from one clip with ``a`` as the subject."""
+def _pair_ious(a: _Footprinted, b: _Footprinted) -> tuple[float, float]:
+    """3D and BEV IoU of two boxes from one clip with ``a`` as the subject;
+    NaN where both boxes are degenerate under the metric."""
     box_a, footprint_a, area_a = a
     box_b, footprint_b, area_b = b
     inter = clip_convex(footprint_a, footprint_b)
     inter_area = abs(polygon_area(inter)) if len(inter) >= 3 else 0.0
 
     if area_a <= 0 and area_b <= 0:
-        bev = None
+        bev = math.nan
     elif area_a <= 0 or area_b <= 0:
         bev = 0.0
     else:
@@ -157,7 +159,7 @@ def _pair_ious(a: _Footprinted, b: _Footprinted) -> _PairIous:
     vol_a = area_a * box_a.dims[0]
     vol_b = area_b * box_b.dims[0]
     if vol_a <= 0 and vol_b <= 0:
-        iou = None
+        iou = math.nan
     elif vol_a <= 0 or vol_b <= 0:
         iou = 0.0
     else:
@@ -169,55 +171,39 @@ def _pair_ious(a: _Footprinted, b: _Footprinted) -> _PairIous:
     return iou, bev
 
 
-def _read(ious: _PairIous, metric: str) -> float:
-    k = _METRICS.index(metric)
-    if ious[k] is None:
+def frame_overlaps(preds: Sequence[ObjectAnnotation],
+                   gts: Sequence[ObjectAnnotation]) -> np.ndarray:
+    """3D (plane 0) and BEV (plane 1) IoU of every (prediction, ground
+    truth) pair of a frame, shape ``(2, len(preds), len(gts))``.
+
+    Each pair is clipped once. A pair whose boxes are both degenerate
+    under a metric holds NaN in that metric's plane.
+    """
+    cols = [_footprinted(annotation_box3d(g)) for g in gts]
+    overlaps = np.empty((2, len(preds), len(cols)))
+    for i, p in enumerate(preds):
+        row = _footprinted(annotation_box3d(p))
+        for j, col in enumerate(cols):
+            overlaps[:, i, j] = _pair_ious(row, col)
+    return overlaps
+
+
+def _one_pair(a: Box3D, b: Box3D, metric: str) -> float:
+    k = _METRICS[metric]
+    value = _pair_ious(_footprinted(a), _footprinted(b))[k]
+    if math.isnan(value):
         raise ValueError(_DEGENERATE[k])
-    return ious[k]
+    return value
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Bird's-eye-view overlap of the two rotated footprints."""
-    return _read(_pair_ious(_footprinted(a), _footprinted(b)), "bev")
+    return _one_pair(a, b, "bev")
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume overlap: footprint intersection times vertical overlap."""
-    return _read(_pair_ious(_footprinted(a), _footprinted(b)), "3d")
-
-
-class _FrameOverlaps:
-    """Overlaps of one frame's predictions (rows) with its ground truths
-    (columns), each pair clipped at most once, on its first read.
-
-    A degenerate pair raises only when a read asks for the metric it is
-    degenerate under. The error names the frame and the pair's positions
-    in it: ``pred_positions`` and ``gt_positions`` map rows and columns to
-    the frame's objects (counted from 0), the identity by default.
-    """
-
-    def __init__(self, preds: Sequence[ObjectAnnotation],
-                 gts: Sequence[ObjectAnnotation], frame: str = "",
-                 pred_positions: Optional[Sequence[int]] = None,
-                 gt_positions: Optional[Sequence[int]] = None):
-        self.rows = [_footprinted(annotation_box3d(p)) for p in preds]
-        self.cols = [_footprinted(annotation_box3d(g)) for g in gts]
-        self._ious: list[list[Optional[_PairIous]]] = [[None] * len(self.cols)
-                                                       for _ in self.rows]
-        self.frame = frame
-        self.pred_positions = pred_positions or range(len(preds))
-        self.gt_positions = gt_positions or range(len(gts))
-
-    def __call__(self, row: int, col: int, metric: str) -> float:
-        ious = self._ious[row][col]
-        if ious is None:
-            ious = self._ious[row][col] = _pair_ious(self.rows[row], self.cols[col])
-        try:
-            return _read(ious, metric)
-        except ValueError as exc:
-            raise ValueError(
-                f"frame {self.frame!r}, prediction {self.pred_positions[row]} and "
-                f"ground truth {self.gt_positions[col]}: {exc}") from None
+    return _one_pair(a, b, "3d")
 
 
 def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
@@ -286,53 +272,78 @@ def match_frame(preds: Sequence[ObjectAnnotation], gts: Sequence[ObjectAnnotatio
     dropped from scoring entirely (not a false positive), mirroring the
     benchmark treatment of detections on out-of-tier objects.
     """
-    overlaps = _FrameOverlaps(preds, [*gts, *ignored_gts], frame)
-    return _greedy_match(overlaps, preds, range(len(gts)),
-                         range(len(gts), len(gts) + len(ignored_gts)),
-                         iou_threshold, metric, frame)
+    all_gts = [*gts, *ignored_gts]
+    overlaps = frame_overlaps(preds, all_gts)
+    positions = (range(len(preds)), range(len(all_gts)))
+    return _greedy_match(overlaps, _frame_scores(preds, frame, positions[0]),
+                         range(len(gts)), range(len(gts), len(all_gts)),
+                         iou_threshold, metric, frame, positions)
 
 
-def _greedy_match(overlaps: _FrameOverlaps, preds: Sequence[ObjectAnnotation],
+def _frame_scores(preds: Sequence[ObjectAnnotation], frame: str,
+                  positions: Sequence[int]) -> list[float]:
+    """The predictions' scores; a missing one raises, naming the frame and
+    the prediction's position in it."""
+    for p, position in zip(preds, positions):
+        if p.score is None:
+            raise ValueError(f"frame {frame!r}, prediction {position}: no score")
+    return [p.score for p in preds]
+
+
+def _greedy_match(overlaps: np.ndarray, scores: Sequence[float],
                   gt_cols: Sequence[int], ignored_cols: Sequence[int],
-                  iou_threshold: float, metric: str, frame: str) -> MatchResult:
-    """:func:`match_frame` over columns of a frame's overlap table.
+                  iou_threshold: float, metric: str, frame: str,
+                  positions: tuple[Sequence[int], Sequence[int]]) -> MatchResult:
+    """:func:`match_frame` over columns of a frame's :func:`frame_overlaps`.
 
-    ``gt_cols`` and ``ignored_cols`` index the table's ground truths; the
-    result's ground-truth indices are positions in ``gt_cols``.
+    ``gt_cols`` and ``ignored_cols`` index the matrix's ground truths; the
+    result's ground-truth indices are positions in ``gt_cols``. Reading a
+    NaN pair raises, naming the frame and the pair's ``positions``
+    (row's, column's) among the frame's objects, counted from 0.
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be '3d' or 'bev', got {metric!r}")
-    scores = []
-    for i, p in enumerate(preds):
-        if p.score is None:
-            raise ValueError(f"prediction {i} has no score")
-        scores.append(p.score)
+    k = _METRICS[metric]
+    rows = overlaps[k].tolist()
 
-    pred_order = sorted(range(len(preds)), key=lambda i: (-scores[i], i))
+    def degenerate(i: int, col: int) -> ValueError:
+        return ValueError(f"frame {frame!r}, prediction {positions[0][i]} and "
+                          f"ground truth {positions[1][col]}: {_DEGENERATE[k]}")
+
+    pred_order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     gt_taken = [False] * len(gt_cols)
     pairs = []
     unmatched_preds = []
     ignored_preds = []
     for i in pred_order:
+        row = rows[i]
         best_j, best_iou = -1, 0.0
         for j, col in enumerate(gt_cols):
             if gt_taken[j]:
                 continue
-            v = overlaps(i, col, metric)
+            v = row[col]
             if v >= iou_threshold and v > best_iou:
                 best_j, best_iou = j, v
+            elif math.isnan(v):
+                raise degenerate(i, col)
         if best_j >= 0:
             gt_taken[best_j] = True
             pairs.append((i, best_j, best_iou))
-        elif any(overlaps(i, col, metric) >= iou_threshold for col in ignored_cols):
-            ignored_preds.append(i)
+            continue
+        for col in ignored_cols:
+            v = row[col]
+            if v >= iou_threshold:
+                ignored_preds.append(i)
+                break
+            if math.isnan(v):
+                raise degenerate(i, col)
         else:
             unmatched_preds.append(i)
     unmatched_gts = [j for j, taken in enumerate(gt_taken) if not taken]
     return MatchResult(frame_id=frame, pairs=pairs,
                        unmatched_pred_indices=sorted(unmatched_preds),
                        unmatched_gt_indices=unmatched_gts,
-                       pred_scores=scores,
+                       pred_scores=list(scores),
                        ignored_pred_indices=sorted(ignored_preds))
 
 
@@ -363,22 +374,21 @@ def average_precision(all_matches: Iterable[MatchResult], n_gt: int,
             events.append((m.pred_scores[i], m.frame_id, i, False))
     events.sort(key=lambda e: (-e[0], e[1], e[2]))
 
-    tp = fp = 0
+    tp = 0
     points = []
-    for score, _, _, is_tp in events:
-        if is_tp:
-            tp += 1
-        else:
-            fp += 1
-        points.append((tp / n_gt, tp / (tp + fp)))
+    for n_scored, (_, _, _, is_tp) in enumerate(events, start=1):
+        tp += is_tp
+        points.append((tp / n_gt, tp / n_scored))
     if tp == 0:
         return PrecisionRecallCurve(points=points, ap=0.0)
     curve = [(0.0, 1.0)] + points
-    grid = _recall_grid(mode)
-    interpolated = [max((p for r, p in curve if r >= level), default=0.0)
-                    for level in grid]
+    # Recall never decreases along the curve, so the points at or above a
+    # level are a suffix: one reverse running max gives every suffix's
+    # maximum, and the trailing 0.0 stands for the empty suffix.
+    recalls, precisions = zip(*curve)
+    envelope = [*accumulate(reversed(precisions), max)][::-1] + [0.0]
+    interpolated = [envelope[bisect_left(recalls, level)] for level in _recall_grid(mode)]
     ap = sum(interpolated) / len(interpolated)
-    curve.sort(key=lambda rp: rp[0])
     return PrecisionRecallCurve(points=curve, ap=ap)
 
 
@@ -404,15 +414,8 @@ def localization_report(pred_centers: np.ndarray,
         lo, hi = edges[k], edges[k + 1]
         in_bin = (z_gt >= lo) & ((z_gt < hi) if k < len(edges) - 2 else (z_gt <= hi))
         count = int(in_bin.sum())
-        if count:
-            bins.append(DepthBinAccuracy(
-                lo=lo, hi=hi, count=count,
-                ra_u=accuracy(rel_err[in_bin, 0]),
-                ra_v=accuracy(rel_err[in_bin, 1]),
-                ra_z=accuracy(rel_err[in_bin, 2])))
-        else:
-            bins.append(DepthBinAccuracy(lo=lo, hi=hi, count=0,
-                                         ra_u=None, ra_v=None, ra_z=None))
+        ra = [accuracy(rel_err[in_bin, c]) if count else None for c in range(3)]
+        bins.append(DepthBinAccuracy(lo, hi, count, *ra))
     return LocalizationReport(
         ra_u=accuracy(rel_err[:, 0]),
         ra_v=accuracy(rel_err[:, 1]),
@@ -443,15 +446,16 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
         "pr_curves": {},
     }
 
-    pred_positions = {f: [k for k, p in enumerate(preds_by_frame.get(f, []))
-                          if p.class_name == class_name] for f in frames}
-    gt_positions = {f: [k for k, g in enumerate(gts_by_frame[f])
-                        if g.class_name == class_name] for f in frames}
-    class_preds = {f: [preds_by_frame[f][k] for k in pred_positions[f]] for f in frames}
-    class_gts = {f: [gts_by_frame[f][k] for k in gt_positions[f]] for f in frames}
-    overlaps = {f: _FrameOverlaps(class_preds[f], class_gts[f], f,
-                                  pred_positions[f], gt_positions[f])
-                for f in frames}
+    # Per frame, the positions of the class's predictions and ground truths
+    # among all of the frame's objects.
+    positions = {f: ([k for k, p in enumerate(preds_by_frame.get(f, []))
+                      if p.class_name == class_name],
+                     [k for k, g in enumerate(gts_by_frame[f])
+                      if g.class_name == class_name]) for f in frames}
+    class_preds = {f: [preds_by_frame[f][k] for k in positions[f][0]] for f in frames}
+    class_gts = {f: [gts_by_frame[f][k] for k in positions[f][1]] for f in frames}
+    scores = {f: _frame_scores(class_preds[f], f, positions[f][0]) for f in frames}
+    overlaps = {f: frame_overlaps(class_preds[f], class_gts[f]) for f in frames}
     gt_tiers = {f: [assign_difficulty(g) for g in class_gts[f]] for f in frames}
     for difficulty in difficulties:
         name = difficulty.name.lower()
@@ -463,16 +467,14 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
                    for f in frames}
         n_gt = sum(len(v) for v in filtered.values())
         report["n_gt"][name] = n_gt
-        report["ap_3d"][name] = {}
-        report["ap_bev"][name] = {}
         for metric, key in (("3d", "ap_3d"), ("bev", "ap_bev")):
+            report[key][name] = {}
             for thr in thresholds:
                 if n_gt == 0:
                     report[key][name][f"{thr:g}"] = None
                     continue
-                matches = [_greedy_match(overlaps[f], class_preds[f], filtered[f],
-                                         ignored[f], thr, metric, frame=f)
-                           for f in frames]
+                matches = [_greedy_match(overlaps[f], scores[f], filtered[f], ignored[f],
+                                         thr, metric, f, positions[f]) for f in frames]
                 curve = average_precision(matches, n_gt, mode=ap_mode)
                 report[key][name][f"{thr:g}"] = curve.ap
                 report["pr_curves"][f"{metric}_{name}_{thr:g}"] = curve.points
@@ -482,8 +484,8 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     gt_centers = []
     for f in frames:
         loc_cols = [j for j, t in enumerate(gt_tiers[f]) if t <= Difficulty.HARD]
-        match = _greedy_match(overlaps[f], class_preds[f], loc_cols, (),
-                              loc_threshold, "3d", frame=f)
+        match = _greedy_match(overlaps[f], scores[f], loc_cols, (), loc_threshold,
+                              "3d", f, positions[f])
         for i, j, _ in match.pairs:
             pred_centers.append(class_preds[f][i].location)
             gt_centers.append(class_gts[f][loc_cols[j]].location)
@@ -495,10 +497,7 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
             "ra_u": loc.ra_u,
             "ra_v": loc.ra_v,
             "ra_z": loc.ra_z,
-            "depth_bins": [
-                {"lo": b.lo, "hi": b.hi, "count": b.count,
-                 "ra_u": b.ra_u, "ra_v": b.ra_v, "ra_z": b.ra_z}
-                for b in loc.depth_bins],
+            "depth_bins": [asdict(b) for b in loc.depth_bins],
         }
     else:
         report["localization"] = None

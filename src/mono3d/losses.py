@@ -38,11 +38,12 @@ class LossConfig:
     lam: float = 100.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass

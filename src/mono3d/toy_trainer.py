@@ -112,7 +112,7 @@ class TrainReport:
 
 
 def generate_scene(n_objects: int, feature_dim: int = 24, noise_sigma: float = 0.1,
-                   seed: int = 0, normalize_u: bool = True) -> SyntheticScene:
+                   seed: int = 0) -> SyntheticScene:
     """Deterministically sample a platoon-structured scene.
 
     Objects split round-robin over up to three platoons. Features are a
@@ -125,8 +125,8 @@ def generate_scene(n_objects: int, feature_dim: int = 24, noise_sigma: float = 0
     if feature_dim < 2:
         raise ValueError(f"feature_dim must be at least 2 for the (u, z) embedding, "
                          f"got {feature_dim}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     rng = np.random.default_rng(seed)
 
     n_platoons = min(MAX_PLATOONS, n_objects)
@@ -143,9 +143,8 @@ def generate_scene(n_objects: int, feature_dim: int = 24, noise_sigma: float = 0
     val_noise = np.random.default_rng([seed, 1]).normal(size=clean.shape)
 
     u2d = TOY_CALIB.f * u3d / z3d + TOY_CALIB.theta
-    u2d_norm = u2d / TOY_IMAGE_WIDTH if normalize_u else u2d
     return SyntheticScene(features=clean + noise_sigma * train_noise,
-                          u2d_norm=u2d_norm,
+                          u2d_norm=u2d / TOY_IMAGE_WIDTH,
                           gt=np.vstack([u3d, z3d]),
                           seed=seed,
                           noise_sigma=noise_sigma,
@@ -219,8 +218,8 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
     """
     if not runs:
         return []
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,17 @@ class TestEval:
         # positions count all of the frame's objects, the Pedestrian included
         assert "prediction 0 and ground truth 1: both boxes are degenerate" in err
 
+    def test_scoreless_prediction_error_is_located(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "data")
+        path = corpus["pred"] / "000001.txt"
+        car = path.read_text().splitlines()[0].split()
+        pedestrian = ("Pedestrian 0.00 0 0.0 600.00 150.00 630.00 230.00 "
+                      "1.70 0.60 0.80 1.00 1.60 12.00 0.0 0.5")
+        path.write_text(f"{pedestrian}\n{' '.join(car[:15])}\n")
+        assert run(self.eval_args(corpus, tmp_path / "report.json")) == 1
+        # the position counts all of the frame's predictions, the Pedestrian included
+        assert capsys.readouterr().err == "mono3d: frame '000001', prediction 1: no score\n"
+
     def test_rerun_byte_identical(self, tmp_path):
         corpus = write_corpus(tmp_path / "data", perturb_z=0.5)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -257,6 +272,17 @@ class TestTrainToy:
         for report in payload["arms"]["regularized"] + payload["arms"]["unregularized"]:
             assert "alpha" not in report["config"] and "gamma" not in report["config"]
 
+    @pytest.mark.parametrize("flag,value", [("--noise-sigma", "nan"), ("--lr", "nan"),
+                                            ("--lr", "inf"), ("--beta", "inf"),
+                                            ("--lambda", "nan")])
+    def test_non_finite_value_is_input_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "toy.json"
+        assert run(["train-toy", "--out", out, "--n-seeds", "1", "--n-objects", "8",
+                    "--epochs", "20", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "must be finite" in err and err.endswith(f"got {value}\n")
+        assert not out.exists()
+
     def test_divergence_exit_code(self, tmp_path):
         code = run(["train-toy", "--out", tmp_path / "toy.json", "--n-seeds", "1",
                     "--n-objects", "12", "--feature-dim", "6", "--epochs", "200",
@@ -304,3 +330,27 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert run(["eval"]) == 1
+
+
+class TestModuleEntry:
+    """``python -m mono3d.cli`` runs the CLI, as the installed script does."""
+
+    def run_module(self, *args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "mono3d.cli", *map(str, args)],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    def test_writes_output_and_exits_zero(self, tmp_path):
+        out = tmp_path / "oracle.json"
+        done = self.run_module("iou-oracle", "--n-pairs", "1", "--n-samples", "10",
+                               "--out", out)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(out.read_text())["n_pairs"] == 1
+
+    def test_bad_flag_exits_one(self, tmp_path):
+        done = self.run_module("iou-oracle", "--out", tmp_path / "oracle.json",
+                               "--no-such-flag")
+        assert done.returncode == 1
+        assert "unrecognized arguments: --no-such-flag" in done.stderr

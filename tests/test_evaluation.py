@@ -208,7 +208,38 @@ def single_frame_matches(tp_flags_scores, n_gt):
                        pred_scores=scores)
 
 
+def per_level_envelope_ap(curve, mode):
+    """AP from the precision envelope rescanned over the whole curve for
+    each grid recall: the definition, as a slow oracle."""
+    grid = [k / 10.0 for k in range(11)] if mode == "11" else [k / 40.0 for k in range(1, 41)]
+    interpolated = [max((p for r, p in curve if r >= level), default=0.0) for level in grid]
+    return sum(interpolated) / len(interpolated)
+
+
 class TestAveragePrecision:
+    @pytest.mark.parametrize("mode", ["11", "40"])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_equals_per_level_envelope_oracle(self, seed, mode):
+        # Three frames whose scores come from a small set, so scores tie
+        # within and across frames; every false positive ties the recall
+        # of the point before it, and spare ground truths leave the top
+        # grid levels above the last recall.
+        rng = np.random.default_rng(seed)
+        matches, n_tp = [], 0
+        for f in range(3):
+            events = [(float(rng.choice([0.2, 0.5, 0.8])), bool(rng.random() < 0.4))
+                      for _ in range(int(rng.integers(0, 25)))]
+            n = sum(tp for _, tp in events)
+            n_tp += n
+            matches.append(dataclasses.replace(single_frame_matches(events, n),
+                                               frame_id=f"{f:06d}"))
+        n_gt = max(1, n_tp + int(rng.integers(0, 4)))
+        curve = average_precision(matches, n_gt, mode=mode)
+        if n_tp == 0:
+            assert curve.ap == 0.0
+        else:
+            assert curve.ap == per_level_envelope_ap(curve.points, mode)
+
     def test_all_correct(self):
         m = single_frame_matches([(0.9, True), (0.8, True)], n_gt=2)
         assert average_precision([m], 2).ap == pytest.approx(1.0)
@@ -404,12 +435,38 @@ class TestSharedOverlaps:
         gts_by_frame, preds_by_frame = random_split(seed)
         for frame, gts in gts_by_frame.items():
             preds = preds_by_frame[frame]
-            table = evaluation._FrameOverlaps(preds, gts)
+            overlaps = evaluation.frame_overlaps(preds, gts)
+            assert overlaps.shape == (2, len(preds), len(gts))
             for i, p in enumerate(preds):
                 for j, g in enumerate(gts):
                     a, b = annotation_box3d(p), annotation_box3d(g)
-                    assert table(i, j, "3d") == iou_3d(a, b)
-                    assert table(i, j, "bev") == bev_iou(a, b)
+                    assert overlaps[0, i, j] == iou_3d(a, b)
+                    assert overlaps[1, i, j] == bev_iou(a, b)
+
+    def test_degenerate_pairs_hold_nan(self):
+        # zero volume; zero volume and footprint
+        flat, thin = make_car(dims=(0.0, 1.63, 3.88)), make_car(dims=(1.52, 0.0, 3.88))
+        overlaps = evaluation.frame_overlaps([flat, thin], [flat, thin, make_car()])
+        np.testing.assert_allclose(overlaps, [[[np.nan, np.nan, 0.0],
+                                               [np.nan, np.nan, 0.0]],
+                                              [[1.0, 0.0, 1.0],
+                                               [0.0, np.nan, 0.0]]])
+
+    def test_first_degenerate_pair_read_is_named(self):
+        # Every pair is degenerate in 3D. The easy-tier 3D pass reads first:
+        # prediction 1 (higher score) before prediction 0, and its tier
+        # column (ground truth 1, easy) before its ignored one (ground
+        # truth 0, moderate). File order would name (0, 0) instead, and
+        # score order without the tier split (1, 0).
+        flat = (0.0, 1.63, 3.88)
+        gts = [make_car(x=-3.0, dims=flat, height_px=30.0, truncation=0.2, occlusion=1),
+               make_car(x=3.0, dims=flat)]
+        preds = [make_car(x=-3.0, dims=flat, score=0.2),
+                 make_car(x=3.0, dims=flat, score=0.8)]
+        assert [assign_difficulty(g) for g in gts] == [Difficulty.MODERATE, Difficulty.EASY]
+        with pytest.raises(ValueError, match=r"^frame '000007', prediction 1 and ground "
+                                             r"truth 1: both boxes are degenerate$"):
+            evaluate_frames({"000007": gts}, {"000007": preds})
 
     @pytest.mark.parametrize("seed,ap_mode", [(0, "11"), (1, "40"), (2, "11"), (3, "40")])
     def test_report_equals_public_per_frame_assembly(self, seed, ap_mode):
@@ -433,4 +490,4 @@ class TestSharedOverlaps:
         evaluate_frames(gts, preds, thresholds=(0.3, 0.5, 0.7))
         pairs = sum(sum(p.class_name == "Car" for p in preds[f])
                     * sum(g.class_name == "Car" for g in gts[f]) for f in gts)
-        assert 0 < len(calls) <= pairs
+        assert len(calls) == pairs

@@ -376,7 +376,10 @@ class TestLossConfig:
         assert (cfg.alpha, cfg.beta, cfg.gamma, cfg.lam) == (10.0, 10.0, 10.0, 100.0)
 
     @pytest.mark.parametrize("kwargs", [dict(lam=0.0), dict(lam=-5.0),
-                                        dict(alpha=-1.0), dict(gamma=-0.1)])
+                                        dict(alpha=-1.0), dict(gamma=-0.1),
+                                        dict(lam=float("nan")), dict(lam=float("inf")),
+                                        dict(alpha=float("nan")), dict(beta=float("inf")),
+                                        dict(gamma=float("nan"))])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             LossConfig(**kwargs)

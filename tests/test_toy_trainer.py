@@ -137,12 +137,15 @@ class TestGenerateScene:
     def test_normalized_offsets_in_unit_interval(self):
         scene = generate_scene(50, 8, 0.1, seed=4)
         assert np.all((scene.u2d_norm > 0) & (scene.u2d_norm < 1))
-        raw = generate_scene(50, 8, 0.1, seed=4, normalize_u=False)
-        assert np.all(raw.u2d_norm > 1)  # pixels, not fractions
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             generate_scene(0, 8, 0.1, seed=0)
+
+    @pytest.mark.parametrize("noise_sigma", [-0.1, float("nan"), float("inf")])
+    def test_rejects_bad_noise_sigma(self, noise_sigma):
+        with pytest.raises(ValueError, match=f"got {noise_sigma}$"):
+            generate_scene(10, 8, noise_sigma, seed=0)
 
     @pytest.mark.parametrize("feature_dim", [1, 0, -2])
     def test_rejects_feature_dim_below_two(self, feature_dim):
@@ -293,8 +296,9 @@ class TestTrain:
 
     def test_invalid_arguments(self):
         scene = generate_scene(5, 4, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            train(scene, LossConfig(), False, lr=0.0)
+        for lr in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"got {lr}$"):
+                train(scene, LossConfig(), False, lr=lr)
         with pytest.raises(ValueError):
             train(scene, LossConfig(), False, epochs=0)
 

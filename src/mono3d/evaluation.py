@@ -206,30 +206,51 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return _one_pair(a, b, "3d")
 
 
+# Rows of uniform draws the Monte-Carlo sampler maps and tests at a time:
+# 1.5 MB of draws, so its memory does not grow with n_samples.
+_MC_CHUNK = 65_536
+
+
 def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
                        seed: int = 0) -> float:
     """Sampling estimate of the 3D overlap, independent of the clipping path.
 
     Uniform points inside box ``a`` are tested for membership in ``b``;
     the hit fraction scales a's exact volume into an intersection volume.
+
+    Both rotations and both centres fold into one affine map from a's
+    local frame to b's, built once, and applied as per-column
+    multiply-adds. Points are drawn and tested in chunks of 65,536 rows
+    from one generator. Chunked draws equal a single draw bit for bit,
+    so the estimate does not depend on the chunk size, and memory stays
+    bounded: a 4e6-sample call peaks at about 4.6 MB of numpy
+    allocations.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
     ha, wa, la = a.dims
     hb, wb, lb = b.dims
-    local = rng.uniform(0.0, 1.0, size=(n_samples, 3))
-    local[:, 0] = (local[:, 0] - 0.5) * la
-    local[:, 1] = -local[:, 1] * ha
-    local[:, 2] = (local[:, 2] - 0.5) * wa
-    world = local @ yaw_matrix(a.yaw).T + np.asarray(a.center)
-    in_b_frame = (world - np.asarray(b.center)) @ yaw_matrix(b.yaw)
-    hits = ((np.abs(in_b_frame[:, 0]) <= lb / 2)
-            & (in_b_frame[:, 1] <= 0.0) & (in_b_frame[:, 1] >= -hb)
-            & (np.abs(in_b_frame[:, 2]) <= wb / 2))
     vol_a = ha * wa * la
     vol_b = hb * wb * lb
-    inter = vol_a * hits.mean()
+    if vol_a <= 0 and vol_b <= 0:
+        raise ValueError(_DEGENERATE[0])
+    rot_b = yaw_matrix(b.yaw)
+    # Row-vector map p_b = p_a @ m + offset. Both rotations are about y,
+    # so m's y row and column are exactly (0, 1, 0) and b_y = l_y + offset_y.
+    m = yaw_matrix(a.yaw).T @ rot_b
+    offset = (np.asarray(a.center) - np.asarray(b.center)) @ rot_b
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for start in range(0, n_samples, _MC_CHUNK):
+        u = rng.uniform(0.0, 1.0, size=(min(_MC_CHUNK, n_samples - start), 3))
+        lx = (u[:, 0] - 0.5) * la
+        lz = (u[:, 2] - 0.5) * wa
+        by = -u[:, 1] * ha + offset[1]
+        inside = (by <= 0.0) & (by >= -hb)
+        inside &= np.abs(lx * m[0, 0] + lz * m[2, 0] + offset[0]) <= lb / 2
+        inside &= np.abs(lx * m[0, 2] + lz * m[2, 2] + offset[2]) <= wb / 2
+        hits += int(np.count_nonzero(inside))
+    inter = vol_a * (hits / n_samples)
     return float(inter / (vol_a + vol_b - inter))
 
 

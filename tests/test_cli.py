@@ -158,6 +158,14 @@ class TestEval:
         # the position counts all of the frame's predictions, the Pedestrian included
         assert capsys.readouterr().err == "mono3d: frame '000001', prediction 1: no score\n"
 
+    @pytest.mark.parametrize("thresholds", [["0.5", "0.5"], ["0.3", "0.50", "0.5"]])
+    def test_duplicate_thresholds_are_input_error(self, corpus, tmp_path, capsys,
+                                                  thresholds):
+        out = tmp_path / "report.json"
+        assert run(self.eval_args(corpus, out) + ["--thresholds", *thresholds]) == 1
+        assert "0.5 more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         corpus = write_corpus(tmp_path / "data", perturb_z=0.5)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

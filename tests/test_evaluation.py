@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,33 @@ from mono3d.evaluation import (MatchResult, annotation_box3d, average_precision,
                                filter_by_difficulty, iou_3d, localization_report,
                                match_frame, monte_carlo_iou_3d, polygon_area,
                                random_box_pair)
-from mono3d.geometry import Box3D
+from mono3d.geometry import Box3D, yaw_matrix
 from mono3d.kitti_io import Difficulty, assign_difficulty
 
 
 def box(cx=0.0, cy=0.0, cz=0.0, h=1.0, w=1.0, length=1.0, yaw=0.0):
     return Box3D(center=(cx, cy, cz), dims=(h, w, length), yaw=yaw)
+
+
+def reference_monte_carlo_iou_3d(a, b, n_samples=1_000_000, seed=0):
+    """Oracle for the chunked sampler: one draw of all samples, mapped to
+    the world and then into b's frame by two matmuls."""
+    rng = np.random.default_rng(seed)
+    ha, wa, la = a.dims
+    hb, wb, lb = b.dims
+    local = rng.uniform(0.0, 1.0, size=(n_samples, 3))
+    local[:, 0] = (local[:, 0] - 0.5) * la
+    local[:, 1] = -local[:, 1] * ha
+    local[:, 2] = (local[:, 2] - 0.5) * wa
+    world = local @ yaw_matrix(a.yaw).T + np.asarray(a.center)
+    in_b_frame = (world - np.asarray(b.center)) @ yaw_matrix(b.yaw)
+    hits = ((np.abs(in_b_frame[:, 0]) <= lb / 2)
+            & (in_b_frame[:, 1] <= 0.0) & (in_b_frame[:, 1] >= -hb)
+            & (np.abs(in_b_frame[:, 2]) <= wb / 2))
+    vol_a = ha * wa * la
+    vol_b = hb * wb * lb
+    inter = vol_a * hits.mean()
+    return float(inter / (vol_a + vol_b - inter))
 
 
 class TestPolygonClipping:
@@ -113,6 +135,59 @@ class TestIou3D:
             a, b = random_box_pair(rng)
             assert iou_3d(a, b) == pytest.approx(
                 monte_carlo_iou_3d(a, b, n_samples=200_000, seed=k), abs=0.02)
+
+
+class TestMonteCarloIou3D:
+    def test_matches_reference_on_criterion_5_pairs(self):
+        rng = np.random.default_rng(5)
+        for k in range(20):
+            a, b = random_box_pair(rng)
+            assert monte_carlo_iou_3d(a, b, n_samples=1_000_000, seed=k) == \
+                reference_monte_carlo_iou_3d(a, b, n_samples=1_000_000, seed=k)
+
+    @pytest.mark.parametrize("n_samples", [1, 65_535, 65_536, 65_537, 200_000])
+    def test_matches_reference_across_chunk_boundaries(self, n_samples):
+        a, b = random_box_pair(np.random.default_rng(7))
+        assert monte_carlo_iou_3d(a, b, n_samples=n_samples, seed=3) == \
+            reference_monte_carlo_iou_3d(a, b, n_samples=n_samples, seed=3)
+
+    @pytest.mark.parametrize("yaw_b", [0.4, 0.4 + np.pi / 2])
+    def test_matches_reference_at_equal_and_perpendicular_yaws(self, yaw_b):
+        a = box(cx=0.3, cy=0.2, cz=-0.1, h=1.5, w=1.6, length=3.9, yaw=0.4)
+        b = box(cx=-0.4, cy=0.5, cz=0.6, h=1.4, w=1.8, length=4.2, yaw=yaw_b)
+        assert monte_carlo_iou_3d(a, b, n_samples=200_000, seed=11) == \
+            reference_monte_carlo_iou_3d(a, b, n_samples=200_000, seed=11)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_chunked_draws_equal_one_draw(self, seed):
+        """The chunked sampler rests on this: a generator's stream does not
+        depend on how its uniform draws are split into calls."""
+        rng = np.random.default_rng(seed)
+        chunks = [rng.uniform(0.0, 1.0, size=(k, 3)) for k in (1, 65_536, 7, 1000)]
+        whole = np.random.default_rng(seed).uniform(0.0, 1.0, size=(66_544, 3))
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+    def test_both_degenerate_is_an_error(self):
+        flat = Box3D(center=(0.0, 0.0, 10.0), dims=(0.0, 0.0, 0.0), yaw=0.0)
+        with pytest.raises(ValueError, match="both boxes are degenerate"):
+            monte_carlo_iou_3d(flat, flat, n_samples=1000)
+
+    def test_one_degenerate_box_has_no_overlap(self):
+        flat = box(w=0.0)
+        assert monte_carlo_iou_3d(flat, box(), n_samples=1000) == 0.0
+        assert monte_carlo_iou_3d(box(), flat, n_samples=1000) == 0.0
+
+    def test_memory_stays_bounded(self):
+        """numpy reports its allocations to tracemalloc; a one-shot draw of
+        4e6 samples alone would hold 96 MB."""
+        a, b = random_box_pair(np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            monte_carlo_iou_3d(a, b, n_samples=4_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestMatchFrame:

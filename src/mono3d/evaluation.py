@@ -12,9 +12,13 @@ recall grid (11-point by default, 40-point optional). Localization
 quality is reported as per-coordinate relative accuracy, optionally
 binned by depth.
 
-A split evaluation clips every (prediction, ground truth) pair of a
-frame once into a per-frame overlap matrix, and every difficulty tier,
-metric and threshold, and the localization pass, reads its rows.
+A split evaluation clips every (prediction, ground truth) pair of the
+split once, in one batched pass: the pairs of all frames are stacked and
+clipped a fixed-size chunk at a time, with the per-edge sign tests as
+array operations. The results are sliced back into one overlap matrix
+per frame, and every difficulty tier, metric and threshold, and the
+localization pass, reads its rows. ``frame_overlaps``, ``iou_3d`` and
+``bev_iou`` are one-frame and one-pair calls of the same pass.
 """
 
 from __future__ import annotations
@@ -83,92 +87,159 @@ def annotation_box3d(a: ObjectAnnotation) -> Box3D:
     return Box3D(center=a.location, dims=a.dims, yaw=a.rotation_y)
 
 
-def polygon_area(vertices: np.ndarray) -> float:
-    """Shoelace area; positive for counter-clockwise vertex order."""
-    x = vertices[:, 0]
-    z = vertices[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(z, -1)) - np.dot(np.roll(x, -1), z))
+def polygon_area(vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Shoelace area of each polygon in a batch; positive for
+    counter-clockwise vertex order.
 
-
-def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Clip a convex polygon by a convex CCW polygon (Sutherland-Hodgman).
-
-    Returns the intersection's vertices (possibly empty); vertices within
-    ``VERTEX_MERGE_EPS`` of each other are merged.
+    ``vertices`` is an ``(N, K, 2)`` buffer of which the first
+    ``counts[n]`` rows of polygon ``n`` are used. The area is
+    ``0.5 * (sum x_i z_{i+1} - sum x_{i+1} z_i)``, each sum accumulated
+    in vertex order from 0.0, one elementwise operation per term, so
+    every polygon's area is the same float whatever the batch around it.
     """
-    output = [tuple(p) for p in subject]
-    n_clip = len(clip)
+    rows = np.arange(len(vertices))
+    x = vertices[..., 0]
+    z = vertices[..., 1]
+    forward = np.zeros(len(vertices))
+    backward = np.zeros(len(vertices))
+    for i in range(vertices.shape[1]):
+        nxt = np.where(i + 1 < counts, i + 1, 0)
+        live = i < counts
+        forward += np.where(live, x[:, i] * z[rows, nxt], 0.0)
+        backward += np.where(live, x[rows, nxt] * z[:, i], 0.0)
+    return 0.5 * (forward - backward)
+
+
+def _compact(candidates: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept rows of each polygon in an ``(N, K, 2)`` buffer, in order,
+    moved to the front of a buffer as wide as the largest count (at
+    least one row)."""
+    counts = keep.sum(axis=1)
+    out = np.zeros((len(candidates), max(1, int(counts.max(initial=0))), 2))
+    rows, cols = np.nonzero(keep)
+    out[rows, np.cumsum(keep, axis=1)[rows, cols] - 1] = candidates[rows, cols]
+    return out, counts
+
+
+def clip_convex(subjects: np.ndarray, clips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clip convex polygons by convex CCW polygons, pair by pair
+    (Sutherland-Hodgman over a batch).
+
+    ``subjects`` is ``(N, S, 2)`` and ``clips`` ``(N, C, 2)``. Returns an
+    ``(N, K, 2)`` vertex buffer and each intersection's vertex count; the
+    rows past a count are padding. A pair left with fewer than three
+    vertices before an edge is empty. Consecutive vertices within
+    ``VERTEX_MERGE_EPS`` of each other are merged, then the last into the
+    first. After each edge the buffer is as wide as the batch's largest
+    count, so no vertex is dropped however many a sliver makes.
+    """
+    n_pairs = len(subjects)
+    rows = np.arange(n_pairs)[:, None]
+    vertices = np.asarray(subjects, dtype=float)
+    counts = np.full(n_pairs, vertices.shape[1])
+    n_clip = clips.shape[1]
     for k in range(n_clip):
-        if len(output) < 3:
-            return np.zeros((0, 2))
-        a = clip[k]
-        b = clip[(k + 1) % n_clip]
+        counts[counts < 3] = 0
+        slots = np.arange(vertices.shape[1])
+        valid = slots < counts[:, None]
+        a = clips[:, k, None, :]
+        b = clips[:, (k + 1) % n_clip, None, :]
         # Inside = left of the directed edge a->b for a CCW clip polygon.
-        edge = (b[0] - a[0], b[1] - a[1])
-        polygon = output
-        output = []
-        values = [edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) for p in polygon]
-        for i, p in enumerate(polygon):
-            q = polygon[(i + 1) % len(polygon)]
-            vp, vq = values[i], values[(i + 1) % len(polygon)]
-            if vp >= 0:
-                output.append(p)
-            if (vp > 0 > vq) or (vp < 0 < vq):
-                t = vp / (vp - vq)
-                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    merged: list[tuple[float, float]] = []
-    for p in output:
-        if not merged or (abs(p[0] - merged[-1][0]) > VERTEX_MERGE_EPS
-                          or abs(p[1] - merged[-1][1]) > VERTEX_MERGE_EPS):
-            merged.append(p)
-    if len(merged) > 1 and (abs(merged[0][0] - merged[-1][0]) <= VERTEX_MERGE_EPS
-                            and abs(merged[0][1] - merged[-1][1]) <= VERTEX_MERGE_EPS):
-        merged.pop()
-    return np.array(merged) if merged else np.zeros((0, 2))
+        values = ((b[..., 0] - a[..., 0]) * (vertices[..., 1] - a[..., 1])
+                  - (b[..., 1] - a[..., 1]) * (vertices[..., 0] - a[..., 0]))
+        nxt = np.where(slots + 1 < counts[:, None], slots + 1, 0)
+        vq = values[rows, nxt]
+        keep = valid & (values >= 0)
+        cross = valid & (((values > 0) & (vq < 0)) | ((values < 0) & (vq > 0)))
+        # Each vertex is followed by its edge's intersection, if any.
+        candidates = np.zeros((n_pairs, len(slots), 2, 2))
+        candidates[:, :, 0] = vertices
+        r, c = np.nonzero(cross)
+        p, q = vertices[r, c], vertices[r, nxt[r, c]]
+        t = values[r, c] / (values[r, c] - vq[r, c])
+        candidates[r, c, 1, 0] = p[:, 0] + t * (q[:, 0] - p[:, 0])
+        candidates[r, c, 1, 1] = p[:, 1] + t * (q[:, 1] - p[:, 1])
+        vertices, counts = _compact(candidates.reshape(n_pairs, -1, 2),
+                                    np.stack([keep, cross], axis=2).reshape(n_pairs, -1))
+
+    # The first vertex is kept; each later one unless it lies within
+    # VERTEX_MERGE_EPS of the last kept one, in both coordinates.
+    keep = np.zeros(vertices.shape[:2], dtype=bool)
+    last = vertices[:, 0].copy()
+    for j in range(vertices.shape[1]):
+        v = vertices[:, j]
+        keep[:, j] = (j < counts) & ((j == 0) | (np.abs(v - last) > VERTEX_MERGE_EPS).any(axis=1))
+        last[keep[:, j]] = v[keep[:, j]]
+    vertices, counts = _compact(vertices, keep)
+    last = vertices[rows[:, 0], np.maximum(counts - 1, 0)]
+    closing = (counts > 1) & (np.abs(vertices[:, 0] - last) <= VERTEX_MERGE_EPS).all(axis=1)
+    return vertices, counts - closing
 
 
-# A box with its BEV footprint and the footprint's signed area.
-_Footprinted = tuple[Box3D, np.ndarray, float]
-
-# Metric -> its plane in a frame_overlaps matrix, and the error for a
+# A metric's plane in a frame_overlaps matrix, and the error for a
 # pair that is degenerate in both boxes under each.
 _METRICS = {"3d": 0, "bev": 1}
 _DEGENERATE = ("both boxes are degenerate", "both footprints are degenerate")
 
+# (prediction, ground truth) pairs clipped at a time: bounds the clip's
+# temporaries, so memory does not grow with the split.
+_CLIP_CHUNK = 2048
 
-def _footprinted(box: Box3D) -> _Footprinted:
-    footprint = bev_footprint(box)
-    return box, footprint, polygon_area(footprint)
+
+def _box_columns(boxes: Sequence[Box3D]) -> tuple[np.ndarray, ...]:
+    """Per-box arrays: BEV footprints ``(B, 4, 2)``, their signed areas,
+    bottom-face heights ``y`` and box heights ``h``."""
+    footprints = np.array([bev_footprint(b) for b in boxes]).reshape(-1, 4, 2)
+    return (footprints, polygon_area(footprints, np.full(len(boxes), 4)),
+            np.array([b.center[1] for b in boxes], dtype=float),
+            np.array([b.dims[0] for b in boxes], dtype=float))
 
 
-def _pair_ious(a: _Footprinted, b: _Footprinted) -> tuple[float, float]:
-    """3D and BEV IoU of two boxes from one clip with ``a`` as the subject;
-    NaN where both boxes are degenerate under the metric."""
-    box_a, footprint_a, area_a = a
-    box_b, footprint_b, area_b = b
-    inter = clip_convex(footprint_a, footprint_b)
-    inter_area = abs(polygon_area(inter)) if len(inter) >= 3 else 0.0
+def _ratio(num: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:
+    """``num / (size_a + size_b - num)``; 0 where either size is <= 0 and
+    NaN where both are."""
+    out = np.zeros(len(num))
+    a_empty = size_a <= 0
+    b_empty = size_b <= 0
+    ok = ~(a_empty | b_empty)
+    out[ok] = num[ok] / (size_a[ok] + size_b[ok] - num[ok])
+    out[a_empty & b_empty] = math.nan
+    return out
 
-    if area_a <= 0 and area_b <= 0:
-        bev = math.nan
-    elif area_a <= 0 or area_b <= 0:
-        bev = 0.0
-    else:
-        bev = inter_area / (area_a + area_b - inter_area)
 
-    vol_a = area_a * box_a.dims[0]
-    vol_b = area_b * box_b.dims[0]
-    if vol_a <= 0 and vol_b <= 0:
-        iou = math.nan
-    elif vol_a <= 0 or vol_b <= 0:
-        iou = 0.0
-    else:
+def _overlap_matrices(frames: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]]
+                      ) -> list[np.ndarray]:
+    """:func:`frame_overlaps` of many frames of (row boxes, column boxes),
+    every pair of every frame clipped in one batched pass, with the row
+    box as the subject."""
+    row_boxes = _box_columns([b for boxes, _ in frames for b in boxes])
+    col_boxes = _box_columns([b for _, boxes in frames for b in boxes])
+    n_rows = np.array([len(boxes) for boxes, _ in frames], dtype=int)
+    n_cols = np.array([len(boxes) for _, boxes in frames], dtype=int)
+    sizes = n_rows * n_cols
+    ends = np.cumsum(sizes)
+    # Pair p of the split belongs to frame frame_of[p]; local is its
+    # row-major position in that frame's matrix.
+    frame_of = np.repeat(np.arange(len(frames)), sizes)
+    local = np.arange(int(sizes.sum())) - (ends - sizes)[frame_of]
+    pair_rows = (np.cumsum(n_rows) - n_rows)[frame_of] + local // n_cols[frame_of]
+    pair_cols = (np.cumsum(n_cols) - n_cols)[frame_of] + local % n_cols[frame_of]
+
+    values = np.empty((2, len(local)))
+    for start in range(0, len(local), _CLIP_CHUNK):
+        chunk = slice(start, start + _CLIP_CHUNK)
+        footprint_a, area_a, y_a, h_a = (c[pair_rows[chunk]] for c in row_boxes)
+        footprint_b, area_b, y_b, h_b = (c[pair_cols[chunk]] for c in col_boxes)
+        vertices, counts = clip_convex(footprint_a, footprint_b)
+        inter = np.where(counts >= 3, np.abs(polygon_area(vertices, counts)), 0.0)
         # Vertical extent is [y - h, y]: y grows downwards.
-        y_overlap = min(box_a.center[1], box_b.center[1]) - max(
-            box_a.center[1] - box_a.dims[0], box_b.center[1] - box_b.dims[0])
-        inter_vol = inter_area * max(0.0, y_overlap)
-        iou = inter_vol / (vol_a + vol_b - inter_vol)
-    return iou, bev
+        y_overlap = np.minimum(y_a, y_b) - np.maximum(y_a - h_a, y_b - h_b)
+        values[0, chunk] = _ratio(inter * np.where(y_overlap > 0.0, y_overlap, 0.0),
+                                  area_a * h_a, area_b * h_b)
+        values[1, chunk] = _ratio(inter, area_a, area_b)
+    return [values[:, end - size:end].reshape(2, r, c)
+            for end, size, r, c in zip(ends.tolist(), sizes.tolist(),
+                                       n_rows.tolist(), n_cols.tolist())]
 
 
 def frame_overlaps(preds: Sequence[ObjectAnnotation],
@@ -179,18 +250,13 @@ def frame_overlaps(preds: Sequence[ObjectAnnotation],
     Each pair is clipped once. A pair whose boxes are both degenerate
     under a metric holds NaN in that metric's plane.
     """
-    cols = [_footprinted(annotation_box3d(g)) for g in gts]
-    overlaps = np.empty((2, len(preds), len(cols)))
-    for i, p in enumerate(preds):
-        row = _footprinted(annotation_box3d(p))
-        for j, col in enumerate(cols):
-            overlaps[:, i, j] = _pair_ious(row, col)
-    return overlaps
+    return _overlap_matrices([([annotation_box3d(p) for p in preds],
+                               [annotation_box3d(g) for g in gts])])[0]
 
 
 def _one_pair(a: Box3D, b: Box3D, metric: str) -> float:
     k = _METRICS[metric]
-    value = _pair_ious(_footprinted(a), _footprinted(b))[k]
+    value = float(_overlap_matrices([([a], [b])])[0][k, 0, 0])
     if math.isnan(value):
         raise ValueError(_DEGENERATE[k])
     return value
@@ -454,7 +520,9 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     plus a localization report over matched pairs.
 
     Localization pairs come from 3D matching at the lowest threshold with
-    the most inclusive difficulty filter.
+    the most inclusive difficulty filter. A matched ground truth whose
+    depth is not positive raises, naming the frame and the ground truth's
+    position among the frame's objects.
     """
     frames = sorted(gts_by_frame)
     difficulties = [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD]
@@ -476,7 +544,9 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     class_preds = {f: [preds_by_frame[f][k] for k in positions[f][0]] for f in frames}
     class_gts = {f: [gts_by_frame[f][k] for k in positions[f][1]] for f in frames}
     scores = {f: _frame_scores(class_preds[f], f, positions[f][0]) for f in frames}
-    overlaps = {f: frame_overlaps(class_preds[f], class_gts[f]) for f in frames}
+    overlaps = dict(zip(frames, _overlap_matrices(
+        [([annotation_box3d(p) for p in class_preds[f]],
+          [annotation_box3d(g) for g in class_gts[f]]) for f in frames])))
     gt_tiers = {f: [assign_difficulty(g) for g in class_gts[f]] for f in frames}
     for difficulty in difficulties:
         name = difficulty.name.lower()
@@ -508,8 +578,12 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
         match = _greedy_match(overlaps[f], scores[f], loc_cols, (), loc_threshold,
                               "3d", f, positions[f])
         for i, j, _ in match.pairs:
+            gt = class_gts[f][loc_cols[j]]
+            if gt.location[2] <= 0:
+                raise ValueError(f"frame {f!r}, ground truth {positions[f][1][loc_cols[j]]}: "
+                                 f"depth {gt.location[2]:g} is not positive")
             pred_centers.append(class_preds[f][i].location)
-            gt_centers.append(class_gts[f][loc_cols[j]].location)
+            gt_centers.append(gt.location)
     if pred_centers:
         loc = localization_report(np.array(pred_centers), np.array(gt_centers))
         report["localization"] = {

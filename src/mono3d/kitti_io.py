@@ -3,7 +3,8 @@
 Label files carry one object per line with 15 whitespace-separated fields
 (ground truth) or 16 (predictions, trailing confidence score). Calibration
 files are ``KEY: v0 ... v11`` lines of which only the left colour camera
-projection ``P2`` is consumed. Split files list one frame id per line.
+projection ``P2`` is consumed. Split files list one frame id per line,
+each id once.
 
 Parsing is strict and total: every line either yields an annotation of
 finite values, an integral occlusion code, non-negative dimensions, a 2D
@@ -237,5 +238,14 @@ def assign_difficulty(a: ObjectAnnotation) -> Difficulty:
 
 
 def read_split_file(text: str) -> list[str]:
-    """Frame ids, one per line, blank lines skipped."""
-    return [line.strip() for line in text.splitlines() if line.strip()]
+    """Frame ids, one per line, blank lines skipped. A repeated id raises,
+    naming both of its lines (counted from 1)."""
+    first_line: dict[str, int] = {}
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        frame = line.strip()
+        if frame in first_line:
+            raise ValueError(f"split line {line_number}: frame {frame!r} is already "
+                             f"listed on line {first_line[frame]}")
+        if frame:
+            first_line[frame] = line_number
+    return list(first_line)

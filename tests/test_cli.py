@@ -54,6 +54,16 @@ class TestValidate:
                     corpus["calib"], "--split", corpus["split"]])
         assert code == 1
 
+    def test_repeated_split_frame_is_input_error(self, corpus, tmp_path, capsys):
+        corpus["split"].write_text("000000\n000001\n000000\n")
+        out = tmp_path / "validate.json"
+        code = run(["validate", "--gt-dir", corpus["gt"], "--calib-dir",
+                    corpus["calib"], "--split", corpus["split"], "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == ("mono3d: split line 3: frame '000000' is "
+                                           "already listed on line 1\n")
+        assert not out.exists()
+
 
 class TestEval:
     def eval_args(self, corpus, out):
@@ -164,6 +174,33 @@ class TestEval:
         out = tmp_path / "report.json"
         assert run(self.eval_args(corpus, out) + ["--thresholds", *thresholds]) == 1
         assert "0.5 more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_split_frame_is_input_error(self, corpus, tmp_path, capsys):
+        corpus["split"].write_text("000000\n000000\n")
+        out = tmp_path / "report.json"
+        assert run(self.eval_args(corpus, out)) == 1
+        assert capsys.readouterr().err == ("mono3d: split line 2: frame '000000' is "
+                                           "already listed on line 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("depth,shown", [("-10.00", "-10"), ("0.00", "0")])
+    def test_non_positive_matched_depth_is_located(self, corpus, tmp_path, capsys,
+                                                   depth, shown):
+        # One frame; its first Car, matched by the first prediction, moves
+        # to the given depth in both files.
+        corpus["split"].write_text("000000\n")
+        for directory in (corpus["gt"], corpus["pred"]):
+            path = directory / "000000.txt"
+            lines = path.read_text().splitlines()
+            tokens = lines[0].split()
+            tokens[13] = depth
+            lines[0] = " ".join(tokens)
+            path.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "report.json"
+        assert run(self.eval_args(corpus, out)) == 1
+        assert capsys.readouterr().err == (f"mono3d: frame '000000', ground truth 0: "
+                                           f"depth {shown} is not positive\n")
         assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from mono3d.evaluation import (MatchResult, annotation_box3d, average_precision,
                                filter_by_difficulty, iou_3d, localization_report,
                                match_frame, monte_carlo_iou_3d, polygon_area,
                                random_box_pair)
-from mono3d.geometry import Box3D, yaw_matrix
+from mono3d.geometry import Box3D, bev_footprint, yaw_matrix
 from mono3d.kitti_io import Difficulty, assign_difficulty
 
 
@@ -42,22 +43,214 @@ def reference_monte_carlo_iou_3d(a, b, n_samples=1_000_000, seed=0):
     return float(inter / (vol_a + vol_b - inter))
 
 
+def reference_polygon_area(vertices):
+    """Oracle for the batched shoelace: 0.5 * (sum x_i z_{i+1} - sum
+    x_{i+1} z_i), each sum accumulated in vertex order from 0.0."""
+    n = len(vertices)
+    forward = backward = 0.0
+    for i in range(n):
+        (x, z), (x_next, z_next) = vertices[i], vertices[(i + 1) % n]
+        forward += x * z_next
+        backward += x_next * z
+    return 0.5 * (forward - backward)
+
+
+def reference_clip_convex(subject, clip, counts=None):
+    """Oracle for the batched clip: the scalar Sutherland-Hodgman clip,
+    one pass per edge over Python tuples. ``counts``, if given, collects
+    the vertex count after each edge."""
+    output = [tuple(p) for p in subject]
+    n_clip = len(clip)
+    for k in range(n_clip):
+        if len(output) < 3:
+            return np.zeros((0, 2))
+        a = clip[k]
+        b = clip[(k + 1) % n_clip]
+        edge = (b[0] - a[0], b[1] - a[1])
+        polygon = output
+        output = []
+        values = [edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) for p in polygon]
+        for i, p in enumerate(polygon):
+            q = polygon[(i + 1) % len(polygon)]
+            vp, vq = values[i], values[(i + 1) % len(polygon)]
+            if vp >= 0:
+                output.append(p)
+            if (vp > 0 > vq) or (vp < 0 < vq):
+                t = vp / (vp - vq)
+                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        if counts is not None:
+            counts.append(len(output))
+    eps = evaluation.VERTEX_MERGE_EPS
+    merged = []
+    for p in output:
+        if not merged or (abs(p[0] - merged[-1][0]) > eps
+                          or abs(p[1] - merged[-1][1]) > eps):
+            merged.append(p)
+    if len(merged) > 1 and (abs(merged[0][0] - merged[-1][0]) <= eps
+                            and abs(merged[0][1] - merged[-1][1]) <= eps):
+        merged.pop()
+    return np.array(merged) if merged else np.zeros((0, 2))
+
+
+def reference_pair_ious(a, b):
+    """Oracle for one pair's (3D, BEV) IoU: one scalar clip with ``a`` as
+    the subject; NaN where both boxes are degenerate under the metric."""
+    footprint_a, footprint_b = bev_footprint(a), bev_footprint(b)
+    area_a = reference_polygon_area(footprint_a)
+    area_b = reference_polygon_area(footprint_b)
+    inter = reference_clip_convex(footprint_a, footprint_b)
+    inter_area = abs(reference_polygon_area(inter)) if len(inter) >= 3 else 0.0
+
+    def ratio(num, size_a, size_b):
+        if size_a <= 0 and size_b <= 0:
+            return math.nan
+        if size_a <= 0 or size_b <= 0:
+            return 0.0
+        return num / (size_a + size_b - num)
+
+    y_overlap = min(a.center[1], b.center[1]) - max(a.center[1] - a.dims[0],
+                                                    b.center[1] - b.dims[0])
+    return (ratio(inter_area * max(0.0, y_overlap), area_a * a.dims[0], area_b * b.dims[0]),
+            ratio(inter_area, area_a, area_b))
+
+
+def clip_one(subject, clip):
+    """The batched clip of a single pair, as its intersection's vertices."""
+    vertices, counts = clip_convex(np.asarray(subject)[None], np.asarray(clip)[None])
+    return vertices[0, :counts[0]]
+
+
+def area_one(vertices):
+    return polygon_area(np.asarray(vertices)[None], np.array([len(vertices)]))[0]
+
+
+def same(x, y):
+    """Bit-for-bit float equality, NaN equal to NaN."""
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
 class TestPolygonClipping:
     def test_full_overlap(self):
         square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-        clipped = clip_convex(square, square)
-        assert abs(polygon_area(clipped)) == pytest.approx(4.0)
+        clipped = clip_one(square, square)
+        assert abs(area_one(clipped)) == pytest.approx(4.0)
 
     def test_disjoint(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
         b = a + np.array([5.0, 0.0])
-        assert len(clip_convex(a, b)) == 0
+        assert len(clip_one(a, b)) == 0
 
     def test_half_overlap(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
         b = a + np.array([0.5, 0.0])
-        clipped = clip_convex(a, b)
-        assert abs(polygon_area(clipped)) == pytest.approx(0.5)
+        clipped = clip_one(a, b)
+        assert abs(area_one(clipped)) == pytest.approx(0.5)
+
+
+class TestBatchedClipOracle:
+    """The batched clip, shoelace and IoU assembly equal the scalar
+    oracles bit for bit (``==``, NaN included)."""
+
+    def assert_pairs_equal_oracle(self, pairs):
+        footprints_a = np.array([bev_footprint(a) for a, _ in pairs])
+        footprints_b = np.array([bev_footprint(b) for _, b in pairs])
+        vertices, counts = clip_convex(footprints_a, footprints_b)
+        for n, (fa, fb) in enumerate(zip(footprints_a, footprints_b)):
+            assert np.array_equal(vertices[n, :counts[n]],
+                                  reference_clip_convex(fa, fb).reshape(-1, 2))
+        areas = polygon_area(footprints_a, np.full(len(pairs), 4))
+        assert areas.tolist() == [reference_polygon_area(f) for f in footprints_a]
+        preds = [make_car(x=a.center[0], y=a.center[1], z=a.center[2], dims=a.dims,
+                          yaw=a.yaw) for a, _ in pairs]
+        gts = [make_car(x=b.center[0], y=b.center[1], z=b.center[2], dims=b.dims,
+                        yaw=b.yaw) for _, b in pairs]
+        overlaps = evaluation.frame_overlaps(preds, gts)
+        for n, (a, b) in enumerate(pairs):
+            iou, bev = reference_pair_ious(a, b)
+            assert same(overlaps[0, n, n], iou) and same(overlaps[1, n, n], bev), n
+
+    def test_random_box_pairs(self):
+        self.assert_pairs_equal_oracle(
+            [random_box_pair(np.random.default_rng(seed)) for seed in range(200)])
+
+    def test_identical_boxes(self):
+        # Every footprint vertex lies on a clip edge: every vp is 0.
+        boxes = [box(cx=1.5, cz=20.0, h=1.5, w=1.6, length=3.9, yaw=yaw)
+                 for yaw in (0.0, 0.3, -1.2, np.pi / 2, np.pi)]
+        self.assert_pairs_equal_oracle([(b, b) for b in boxes])
+
+    def test_boxes_sharing_an_edge(self):
+        self.assert_pairs_equal_oracle([
+            (box(), box(cx=1.0)), (box(), box(cz=1.0)),
+            (box(yaw=np.pi / 2), box(cx=1.0, yaw=np.pi / 2)),
+            (box(length=2.0, w=0.5), box(cx=1.0, length=2.0, w=0.5, yaw=np.pi))])
+
+    def test_zero_width_and_zero_length_boxes(self):
+        flat_w, flat_l = box(w=0.0), box(length=0.0)
+        self.assert_pairs_equal_oracle([
+            (flat_w, flat_w), (flat_l, flat_l), (flat_w, flat_l), (flat_w, box()),
+            (box(), flat_l), (box(h=0.0), box()), (box(h=0.0), box(h=0.0, cx=0.3))])
+
+    def test_near_collinear_sliver_passes_through_more_than_eight_vertices(self):
+        # Eight points on one segment, rounded to doubles, against a clip
+        # whose first edge runs along that segment: the rounding flips the
+        # sign test back and forth along the sliver.
+        shift = np.array([29 * 0.3, 29 * 0.7])
+        sliver = np.stack([np.linspace(0.0, 0.7, 8), np.linspace(0.0, 0.3, 8)],
+                          axis=1) + shift
+        clip = np.array([[0.0, 0.0], [0.7, 0.3], [-2.3, 7.3], [-3.0, 7.0]]) + shift
+        counts = []
+        expected = reference_clip_convex(sliver, clip, counts)
+        assert max(counts) > 8 and len(expected) > 8
+        # Batched with a pair that keeps all eight vertices: the buffer
+        # is as wide as the larger count.
+        square = np.array([[100.0, 100.0], [-100.0, 100.0], [-100.0, -100.0],
+                           [100.0, -100.0]])
+        vertices, counts = clip_convex(np.stack([sliver, sliver]), np.stack([clip, square]))
+        assert np.array_equal(vertices[0, :counts[0]], expected)
+        assert np.array_equal(vertices[1, :counts[1]], reference_clip_convex(sliver, square))
+        assert counts.tolist() == [len(expected), 8]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shoelace_equals_ordered_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        polygon = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-3, 3)
+        buffer = np.zeros((2, 12, 2))
+        buffer[1, :n] = polygon
+        assert polygon_area(buffer, np.array([0, n]))[1] == reference_polygon_area(polygon)
+
+    def test_one_pair_equals_whole_batch(self):
+        # Three frames, 2,150 pairs in all: the split's batch spans two
+        # chunks, and each pair's IoUs equal those of its one-pair batch.
+        rng = np.random.default_rng(11)
+        frames = [([random_box_pair(rng)[0] for _ in range(n_rows)],
+                   [random_box_pair(rng)[1] for _ in range(n_cols)])
+                  for n_rows, n_cols in ((30, 40), (25, 30), (10, 20))]
+        assert sum(len(r) * len(c) for r, c in frames) > evaluation._CLIP_CHUNK
+        for (rows, cols), overlaps in zip(frames, evaluation._overlap_matrices(frames)):
+            assert overlaps.shape == (2, len(rows), len(cols))
+            for i, a in enumerate(rows):
+                for j, b in enumerate(cols):
+                    assert np.array_equal(evaluation._overlap_matrices([([a], [b])])[0][:, 0, 0],
+                                          overlaps[:, i, j])
+
+    def test_memory_stays_bounded(self):
+        """224 x 224 = 50,176 pairs in one frame. numpy reports its
+        allocations to tracemalloc: chunked, the call peaks near 5 MB;
+        clipped in one piece, it would peak near 52 MB."""
+        rng = np.random.default_rng(3)
+        cars = [make_car(x=float(rng.uniform(-20, 20)), z=float(rng.uniform(5, 60)),
+                         yaw=float(rng.uniform(-np.pi, np.pi)), score=0.5)
+                for _ in range(224)]
+        tracemalloc.start()
+        try:
+            overlaps = evaluation.frame_overlaps(cars, cars)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert overlaps.shape == (2, 224, 224)
+        assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestBevIou:
@@ -555,14 +748,15 @@ class TestSharedOverlaps:
 
     def test_one_clip_per_distinct_pair(self, monkeypatch):
         gts, preds = random_split(5)
-        calls = []
+        rows = []
 
-        def counting_clip(subject, clip):
-            calls.append(1)
-            return clip_convex(subject, clip)
+        def counting_clip(subjects, clips):
+            rows.append(len(subjects))
+            return clip_convex(subjects, clips)
 
         monkeypatch.setattr(evaluation, "clip_convex", counting_clip)
         evaluate_frames(gts, preds, thresholds=(0.3, 0.5, 0.7))
         pairs = sum(sum(p.class_name == "Car" for p in preds[f])
                     * sum(g.class_name == "Car" for g in gts[f]) for f in gts)
-        assert len(calls) == pairs
+        # The whole split's pairs go to the kernel once, in one chunk.
+        assert rows == [pairs]

@@ -286,6 +286,12 @@ class TestSplits:
         assert read_split_file("000000\n000003\n\n000010\n") == \
             ["000000", "000003", "000010"]
 
+    def test_repeated_frame_id_is_located(self):
+        # Lines count from 1, blank lines included.
+        with pytest.raises(ValueError, match=r"^split line 4: frame '000003' is already "
+                                             r"listed on line 2$"):
+            read_split_file("000000\n000003\n\n 000003 \n")
+
     def test_frame_id_padding(self):
         assert frame_id(7) == "000007"
         assert frame_id(123456) == "123456"

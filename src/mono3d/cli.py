@@ -313,9 +313,6 @@ def main(argv=None) -> int:
             kitti_io.CalibFormatError) as exc:
         print(f"mono3d: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except toy_trainer.TrainingDiverged as exc:
-        print(f"mono3d: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
 
 
 def entry():

@@ -362,31 +362,35 @@ def match_frame(preds: Sequence[ObjectAnnotation], gts: Sequence[ObjectAnnotatio
     all_gts = [*gts, *ignored_gts]
     overlaps = frame_overlaps(preds, all_gts)
     positions = (range(len(preds)), range(len(all_gts)))
-    return _greedy_match(overlaps, _frame_scores(preds, frame, positions[0]),
+    return _greedy_match(overlaps, *_frame_scores(preds, frame, positions[0]),
                          range(len(gts)), range(len(gts), len(all_gts)),
                          iou_threshold, metric, frame, positions)
 
 
 def _frame_scores(preds: Sequence[ObjectAnnotation], frame: str,
-                  positions: Sequence[int]) -> list[float]:
-    """The predictions' scores; a missing one raises, naming the frame and
+                  positions: Sequence[int]) -> tuple[list[float], list[int]]:
+    """The predictions' scores and their visiting order, by descending
+    score and then index; a missing score raises, naming the frame and
     the prediction's position in it."""
     for p, position in zip(preds, positions):
         if p.score is None:
             raise ValueError(f"frame {frame!r}, prediction {position}: no score")
-    return [p.score for p in preds]
+    scores = [p.score for p in preds]
+    return scores, sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
-def _greedy_match(overlaps: np.ndarray, scores: Sequence[float],
+def _greedy_match(overlaps: np.ndarray, scores: list[float], pred_order: Sequence[int],
                   gt_cols: Sequence[int], ignored_cols: Sequence[int],
                   iou_threshold: float, metric: str, frame: str,
                   positions: tuple[Sequence[int], Sequence[int]]) -> MatchResult:
     """:func:`match_frame` over columns of a frame's :func:`frame_overlaps`.
 
-    ``gt_cols`` and ``ignored_cols`` index the matrix's ground truths; the
-    result's ground-truth indices are positions in ``gt_cols``. Reading a
-    NaN pair raises, naming the frame and the pair's ``positions``
-    (row's, column's) among the frame's objects, counted from 0.
+    Rows are visited in ``pred_order``, as :func:`_frame_scores` gives
+    it, and the result shares ``scores``. ``gt_cols`` and
+    ``ignored_cols`` index the matrix's ground truths; the result's
+    ground-truth indices are positions in ``gt_cols``. Reading a NaN pair
+    raises, naming the frame and the pair's ``positions`` (row's,
+    column's) among the frame's objects, counted from 0.
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be '3d' or 'bev', got {metric!r}")
@@ -397,7 +401,6 @@ def _greedy_match(overlaps: np.ndarray, scores: Sequence[float],
         return ValueError(f"frame {frame!r}, prediction {positions[0][i]} and "
                           f"ground truth {positions[1][col]}: {_DEGENERATE[k]}")
 
-    pred_order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     gt_taken = [False] * len(gt_cols)
     pairs = []
     unmatched_preds = []
@@ -430,7 +433,7 @@ def _greedy_match(overlaps: np.ndarray, scores: Sequence[float],
     return MatchResult(frame_id=frame, pairs=pairs,
                        unmatched_pred_indices=sorted(unmatched_preds),
                        unmatched_gt_indices=unmatched_gts,
-                       pred_scores=list(scores),
+                       pred_scores=scores,
                        ignored_pred_indices=sorted(ignored_preds))
 
 
@@ -520,7 +523,9 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     plus a localization report over matched pairs.
 
     Localization pairs come from 3D matching at the lowest threshold with
-    the most inclusive difficulty filter. A matched ground truth whose
+    the most inclusive difficulty filter: they are read from the hard
+    tier's pass, since ignored columns never change a pass's pairs. A
+    matched ground truth whose
     depth is not positive raises, naming the frame and the ground truth's
     position among the frame's objects.
     """
@@ -548,6 +553,8 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
         [([annotation_box3d(p) for p in class_preds[f]],
           [annotation_box3d(g) for g in class_gts[f]]) for f in frames])))
     gt_tiers = {f: [assign_difficulty(g) for g in class_gts[f]] for f in frames}
+    loc_threshold = min(thresholds)
+    loc_matches = []
     for difficulty in difficulties:
         name = difficulty.name.lower()
         # Disjoint, order-preserving column subsets: the tier's ground
@@ -564,19 +571,17 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
                 if n_gt == 0:
                     report[key][name][f"{thr:g}"] = None
                     continue
-                matches = [_greedy_match(overlaps[f], scores[f], filtered[f], ignored[f],
+                matches = [_greedy_match(overlaps[f], *scores[f], filtered[f], ignored[f],
                                          thr, metric, f, positions[f]) for f in frames]
+                if difficulty == Difficulty.HARD and metric == "3d" and thr == loc_threshold:
+                    loc_matches = [(f, m, filtered[f]) for f, m in zip(frames, matches)]
                 curve = average_precision(matches, n_gt, mode=ap_mode)
                 report[key][name][f"{thr:g}"] = curve.ap
                 report["pr_curves"][f"{metric}_{name}_{thr:g}"] = curve.points
 
-    loc_threshold = min(thresholds)
     pred_centers = []
     gt_centers = []
-    for f in frames:
-        loc_cols = [j for j, t in enumerate(gt_tiers[f]) if t <= Difficulty.HARD]
-        match = _greedy_match(overlaps[f], scores[f], loc_cols, (), loc_threshold,
-                              "3d", f, positions[f])
+    for f, match, loc_cols in loc_matches:
         for i, j, _ in match.pairs:
             gt = class_gts[f][loc_cols[j]]
             if gt.location[2] <= 0:

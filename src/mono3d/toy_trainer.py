@@ -211,10 +211,10 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
     transposed view as in the 2-D code, and each sum taken over one
     run's contiguous slice. Heads, loss curves and reports are therefore
     bitwise those of training the runs one after another, in the order
-    given. That order also settles divergence: when run k diverges, it
-    and every later run leave the stack, because run by run they would
-    never have started. The earliest run that diverged raises
-    :class:`TrainingDiverged` with its context once the loop ends.
+    given. That order also settles divergence: when run k is the earliest
+    to diverge in an epoch, runs 0..k-1 are retrained as a stack of their
+    own, and :class:`TrainingDiverged` names run k if they all finish.
+    Otherwise the retrain raises for the earliest of them that diverges.
     """
     if not runs:
         return []
@@ -245,7 +245,6 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
 
     curves = np.empty((len(rank), epochs))
     reached = np.full(len(rank), -1)       # epoch of first tolerance hit, -1 before
-    diverged: Optional[tuple[int, int]] = None   # (run index, last finite epoch)
     step = lr
     for epoch in range(epochs):
         residual = (w @ x + b[:, :, None]) - gt
@@ -257,19 +256,12 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
             objective[:n_reg] += reg
         bad = ~np.isfinite(objective) | (objective > DIVERGENCE_LIMIT)
         if bad.any():
+            # Run by run, the runs before the earliest bad one would have
+            # trained first; retraining them alone repeats them bit for bit,
+            # so any of them that diverges later raises from in there.
             first = int(rank[bad].min())
-            diverged = (first, epoch - 1)
-            keep = rank < first
-            if not keep.any():
-                break
-            keep_reg = keep[:n_reg]
-            n_reg = int(keep_reg.sum())
-            if n_reg:
-                xpxt, reg_grad = xpxt[keep_reg], reg_grad[keep_reg]
-            (rank, x, gt, w, b, vel_w, vel_b, curves, reached,
-             residual, data_l1, objective) = (
-                a[keep] for a in (rank, x, gt, w, b, vel_w, vel_b, curves, reached,
-                                  residual, data_l1, objective))
+            _train_runs(runs[:first], cfg, lr, epochs, tolerance)
+            raise TrainingDiverged(epoch - 1, runs[first].context)
         curves[:, epoch] = objective
         reached[(reached < 0) & (data_l1 / m < tolerance)] = epoch
 
@@ -285,10 +277,6 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
         w += vel_w
         b += vel_b
         step *= LR_DECAY
-
-    if diverged is not None:
-        k, last_finite = diverged
-        raise TrainingDiverged(last_finite, runs[k].context)
 
     results: list = [None] * len(runs)
     for slot, k in enumerate(rank):
@@ -335,9 +323,10 @@ def run_paired_experiment(seeds: Sequence[int], cfg: LossConfig,
 
     All (seed, arm) runs train together in one stacked loop, with the
     results and the divergence error of training them one by one in
-    (seed, arm) order. Returns both arms' reports plus aggregate
-    violation counts and the epochs-to-tolerance ratio (runs that never
-    reach tolerance count as the full epoch budget).
+    (seed, arm) order; a divergence costs a retrain of the runs before
+    it. Returns both arms' reports plus aggregate violation counts and
+    the epochs-to-tolerance ratio (runs that never reach tolerance count
+    as the full epoch budget).
     """
     runs = []
     for seed in seeds:

@@ -760,3 +760,20 @@ class TestSharedOverlaps:
                     * sum(g.class_name == "Car" for g in gts[f]) for f in gts)
         # The whole split's pairs go to the kernel once, in one chunk.
         assert rows == [pairs]
+
+    @pytest.mark.parametrize("thresholds", [(0.3, 0.5, 0.7), (0.7, 0.1, 0.25, 0.5)])
+    def test_one_match_per_frame_tier_metric_and_threshold(self, monkeypatch, thresholds):
+        # Localization reads the hard tier's 3D pass at the lowest
+        # threshold; it runs no pass of its own.
+        gts, preds = random_split(6)
+        expected = reference_report(gts, preds, thresholds)
+        greedy_match = evaluation._greedy_match
+        calls = []
+
+        def counting_match(*args):
+            calls.append(args)
+            return greedy_match(*args)
+
+        monkeypatch.setattr(evaluation, "_greedy_match", counting_match)
+        assert evaluate_frames(gts, preds, thresholds=thresholds) == expected
+        assert len(calls) == len(gts) * 3 * 2 * len(thresholds)

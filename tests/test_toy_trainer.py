@@ -387,12 +387,14 @@ class TestStackedTraining:
             assert head.w.tobytes() == ref_head.w.tobytes()
             assert head.b.tobytes() == ref_head.b.tobytes()
 
-    @pytest.mark.parametrize("seeds", [[1, 2, 3], [4, 6], [6, 4], [3, 7, 2]])
+    @pytest.mark.parametrize("seeds", [[1, 2, 3], [4, 6], [6, 4], [3, 7, 2], [11, 4, 6]])
     def test_divergence_matches_reference(self, seeds):
         # M = 100 at the CLI defaults: the regularised arm diverges on seeds
-        # 2 and 7 (last finite epoch 12), 4 (17) and 6 (11); seeds 1 and 3
-        # converge. In [4, 6] the earlier run diverges at the later epoch;
-        # in [3, 7, 2] two runs diverge in the same epoch.
+        # 2 and 7 (last finite epoch 12), 4 (17), 6 (11) and 11 (23); seeds
+        # 1 and 3 converge. In [4, 6] the earlier run diverges at the later
+        # epoch; in [3, 7, 2] two runs diverge in the same epoch. In
+        # [11, 4, 6] each earlier run diverges later, so the error comes
+        # from the second of two nested prefix retrains.
         cfg = LossConfig()
         with pytest.raises(TrainingDiverged) as expected:
             reference_paired_runs(seeds, cfg, n_objects=100)

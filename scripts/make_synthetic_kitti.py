@@ -9,13 +9,14 @@ numbers.
 
 import argparse
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from mono3d.geometry import forward_project
-from mono3d.kitti_io import (CameraCalibration, ObjectAnnotation, frame_id,
-                             write_prediction_file)
+from mono3d.kitti_io import (CameraCalibration, ObjectAnnotation, format_label_line,
+                             frame_id, write_prediction_file)
 
 F, THETA, PHI = 721.5377, 609.5593, 172.854
 CALIB_TEXT = f"P2: {F} 0 {THETA} 0 0 {F} {PHI} 0 0 0 1 0\n"
@@ -59,15 +60,8 @@ def main():
     frames = [frame_id(i) for i in range(args.frames)]
     for frame in frames:
         cars = [random_car(rng, calib) for _ in range(int(rng.integers(1, 7)))]
-        gt_lines = []
-        for a in cars:
-            fields = [a.class_name, f"{a.truncation:.2f}", str(a.occlusion),
-                      f"{a.alpha:.6f}"]
-            fields += [f"{v:.6f}" for v in (*a.box2d, *a.dims, *a.location)]
-            fields.append(f"{a.rotation_y:.6f}")
-            gt_lines.append(" ".join(fields))
         (args.out / "label_2" / f"{frame}.txt").write_text(
-            "".join(line + "\n" for line in gt_lines))
+            "".join(format_label_line(a) + "\n" for a in cars))
         (args.out / "calib" / f"{frame}.txt").write_text(CALIB_TEXT)
 
         preds = []
@@ -75,10 +69,7 @@ def main():
             x, y, z = a.location
             noisy = (x + float(rng.normal(0, args.pos_noise)), y,
                      z + float(rng.normal(0, args.pos_noise)))
-            preds.append(ObjectAnnotation(
-                class_name="Car", truncation=a.truncation, occlusion=a.occlusion,
-                alpha=a.alpha, box2d=a.box2d, dims=a.dims, location=noisy,
-                rotation_y=a.rotation_y, score=float(rng.uniform(0.3, 1.0))))
+            preds.append(replace(a, location=noisy, score=float(rng.uniform(0.3, 1.0))))
         (args.out / "pred" / f"{frame}.txt").write_text(write_prediction_file(preds))
 
     (args.out / "split.txt").write_text("".join(f"{f}\n" for f in frames))

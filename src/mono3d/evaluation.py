@@ -189,10 +189,11 @@ _CLIP_CHUNK = 2048
 def _box_columns(boxes: Sequence[Box3D]) -> tuple[np.ndarray, ...]:
     """Per-box arrays: BEV footprints ``(B, 4, 2)``, their signed areas,
     bottom-face heights ``y`` and box heights ``h``."""
-    footprints = np.array([bev_footprint(b) for b in boxes]).reshape(-1, 4, 2)
+    centers = np.array([b.center for b in boxes], dtype=float).reshape(-1, 3)
+    dims = np.array([b.dims for b in boxes], dtype=float).reshape(-1, 3)
+    footprints = bev_footprint(Box3D(centers, dims, np.array([b.yaw for b in boxes], dtype=float)))
     return (footprints, polygon_area(footprints, np.full(len(boxes), 4)),
-            np.array([b.center[1] for b in boxes], dtype=float),
-            np.array([b.dims[0] for b in boxes], dtype=float))
+            centers[:, 1], dims[:, 0])
 
 
 def _ratio(num: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:

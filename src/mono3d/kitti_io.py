@@ -192,21 +192,21 @@ def parse_calib_file(text: str) -> CameraCalibration:
         except ValueError as exc:
             raise CalibFormatError(f"P2 contains a non-numeric value: {exc}") from None
         calib = CameraCalibration(p2=np.array(values).reshape(3, 4))
+        if not np.isfinite(calib.p2).all():
+            raise CalibFormatError(f"P2 values must be finite, got {' '.join(tokens[:12])}")
         if calib.f <= 0:
             raise CalibFormatError(f"focal length must be positive, got {calib.f}")
         return calib
     raise CalibFormatError("no P2 line found")
 
 
-def format_prediction_line(a: ObjectAnnotation) -> str:
-    if a.score is None:
-        raise ValueError(f"prediction for {a.class_name} has no score")
+def format_label_line(a: ObjectAnnotation) -> str:
+    """One label line: 15 fields, or 16 when ``a`` has a score."""
+    scored = () if a.score is None else (a.score,)
     parts = [a.class_name,
              f"{a.truncation:.{DECIMALS}f}", str(a.occlusion), f"{a.alpha:.{DECIMALS}f}"]
-    parts += [f"{v:.{DECIMALS}f}" for v in a.box2d]
-    parts += [f"{v:.{DECIMALS}f}" for v in a.dims]
-    parts += [f"{v:.{DECIMALS}f}" for v in a.location]
-    parts += [f"{a.rotation_y:.{DECIMALS}f}", f"{a.score:.{DECIMALS}f}"]
+    parts += [f"{v:.{DECIMALS}f}"
+              for v in (*a.box2d, *a.dims, *a.location, a.rotation_y, *scored)]
     return " ".join(parts)
 
 
@@ -215,7 +215,10 @@ def write_prediction_file(annotations: list[ObjectAnnotation]) -> str:
 
     Round-trips through :func:`parse_label_file` at 6-decimal precision.
     """
-    return "".join(format_prediction_line(a) + "\n" for a in annotations)
+    for a in annotations:
+        if a.score is None:
+            raise ValueError(f"prediction for {a.class_name} has no score")
+    return "".join(format_label_line(a) + "\n" for a in annotations)
 
 
 def assign_difficulty(a: ObjectAnnotation) -> Difficulty:

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .geometry import forward_project
 from .kitti_io import CameraCalibration
 from .locality import (DEFAULT_LAMBDA, FeatureBatch, LinearHead, build_graph,
                        quadratic_form)
@@ -142,7 +143,7 @@ def generate_scene(n_objects: int, feature_dim: int = 24, noise_sigma: float = 0
     train_noise = np.random.default_rng([seed, 0]).normal(size=clean.shape)
     val_noise = np.random.default_rng([seed, 1]).normal(size=clean.shape)
 
-    u2d = TOY_CALIB.f * u3d / z3d + TOY_CALIB.theta
+    u2d, _ = forward_project((u3d, 0.0, z3d), TOY_CALIB)
     return SyntheticScene(features=clean + noise_sigma * train_noise,
                           u2d_norm=u2d / TOY_IMAGE_WIDTH,
                           gt=np.vstack([u3d, z3d]),
@@ -185,8 +186,7 @@ class _Run:
 
 
 def train(scene: SyntheticScene, cfg: LossConfig, use_regularizer: bool,
-          lr: float = 1e-3, epochs: int = 2000, seed: int = 0,
-          tolerance: float = TOLERANCE_L1) -> tuple[LinearHead, TrainReport]:
+          lr: float = 1e-3, epochs: int = 2000, seed: int = 0) -> tuple[LinearHead, TrainReport]:
     """Fit the head by full-batch subgradient descent with momentum.
 
     The objective is the summed L1 error of the predicted (u3d, z3d)
@@ -196,13 +196,12 @@ def train(scene: SyntheticScene, cfg: LossConfig, use_regularizer: bool,
     fixed (scene, seed). The report's violation count is taken on the
     scene's validation view.
     """
-    (result,) = _train_runs([_Run(scene, use_regularizer, seed)], cfg, lr=lr,
-                            epochs=epochs, tolerance=tolerance)
+    (result,) = _train_runs([_Run(scene, use_regularizer, seed)], cfg, lr=lr, epochs=epochs)
     return result
 
 
-def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
-                tolerance: float) -> list[tuple[LinearHead, TrainReport]]:
+def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
+                ) -> list[tuple[LinearHead, TrainReport]]:
     """Train runs over same-shaped scenes in one stacked epoch loop.
 
     The state of run k is slice k of K x ... arrays, and every product is
@@ -260,10 +259,10 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
             # trained first; retraining them alone repeats them bit for bit,
             # so any of them that diverges later raises from in there.
             first = int(rank[bad].min())
-            _train_runs(runs[:first], cfg, lr, epochs, tolerance)
+            _train_runs(runs[:first], cfg, lr, epochs)
             raise TrainingDiverged(epoch - 1, runs[first].context)
         curves[:, epoch] = objective
-        reached[(reached < 0) & (data_l1 / m < tolerance)] = epoch
+        reached[(reached < 0) & (data_l1 / m < TOLERANCE_L1)] = epoch
 
         sign = np.sign(residual)
         grad_w = sign @ x.transpose(0, 2, 1)
@@ -285,7 +284,7 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
         head = LinearHead(w=w[slot].copy(), b=b[slot].copy())
         final_l1 = float(np.abs(head.predict(scene.features) - scene.gt).sum()) / m
         epochs_to_tolerance = int(reached[slot]) if reached[slot] >= 0 else None
-        if epochs_to_tolerance is None and final_l1 < tolerance:
+        if epochs_to_tolerance is None and final_l1 < TOLERANCE_L1:
             epochs_to_tolerance = epochs
         report = TrainReport(
             epochs_to_tolerance=epochs_to_tolerance,
@@ -302,7 +301,7 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int,
                 "use_regularizer": run.use_regularizer,
                 "lr": lr,
                 "epochs": epochs,
-                "tolerance": tolerance,
+                "tolerance": TOLERANCE_L1,
                 "beta": cfg.beta,
                 "lam": cfg.lam,
             })
@@ -334,8 +333,7 @@ def run_paired_experiment(seeds: Sequence[int], cfg: LossConfig,
         runs += [_Run(scene, use_reg, seed, context=f"{_arm_key(use_reg)} arm, seed {seed}")
                  for use_reg in arms]
     results: dict = {"regularized": [], "unregularized": []}
-    for run, (_, report) in zip(runs, _train_runs(runs, cfg, lr=lr, epochs=epochs,
-                                                  tolerance=TOLERANCE_L1)):
+    for run, (_, report) in zip(runs, _train_runs(runs, cfg, lr=lr, epochs=epochs)):
         results[_arm_key(run.use_regularizer)].append(report)
 
     def mean_violations(reports):

@@ -64,6 +64,18 @@ class TestValidate:
                                            "already listed on line 1\n")
         assert not out.exists()
 
+    def test_non_finite_calibration_is_listed(self, corpus, tmp_path, capsys):
+        (corpus["calib"] / "000001.txt").write_text("P2: 721.5 0 inf 0 0 721.5 172.8 0 0 0 1 0\n")
+        out = tmp_path / "validate.json"
+        code = run(["validate", "--gt-dir", corpus["gt"], "--calib-dir",
+                    corpus["calib"], "--split", corpus["split"], "--out", out])
+        assert code == 1
+        (error,) = json.loads(out.read_text())["errors"]
+        assert error["file"] == "calib/000001.txt"
+        assert error["message"] == ("P2 values must be finite, got "
+                                    "721.5 0 inf 0 0 721.5 172.8 0 0 0 1 0")
+        assert "calib/000001.txt: P2 values must be finite" in capsys.readouterr().out
+
 
 class TestEval:
     def eval_args(self, corpus, out):
@@ -182,6 +194,14 @@ class TestEval:
         assert run(self.eval_args(corpus, out)) == 1
         assert capsys.readouterr().err == ("mono3d: split line 2: frame '000000' is "
                                            "already listed on line 1\n")
+        assert not out.exists()
+
+    def test_non_finite_calibration_is_input_error(self, corpus, tmp_path, capsys):
+        (corpus["calib"] / "000002.txt").write_text("P2: nan 0 600 0 0 700 170 0 0 0 1 0\n")
+        out = tmp_path / "report.json"
+        assert run(self.eval_args(corpus, out)) == 1
+        assert capsys.readouterr().err == ("mono3d: P2 values must be finite, got "
+                                           "nan 0 600 0 0 700 170 0 0 0 1 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("depth,shown", [("-10.00", "-10"), ("0.00", "0")])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mono3d.geometry import (Box3D, bev_footprint, box3d_corners, forward_project,
-                             inverse_project)
+                             inverse_project, yaw_matrix)
 from mono3d.kitti_io import CameraCalibration
 
 
@@ -37,6 +37,17 @@ class TestProjection:
             inverse_project((600.0, 170.0), depth, calib)
         with pytest.raises(ValueError):
             forward_project((1.0, 1.0, depth), calib)
+        # one bad depth among arrays of points
+        with pytest.raises(ValueError, match=f"got z={depth}"):
+            forward_project((np.ones(3), np.ones(3), np.array([5.0, depth, 20.0])), calib)
+
+    def test_arrays_equal_per_point_calls(self, calib):
+        rng = np.random.default_rng(3)
+        x, y, z = rng.uniform([-50, -20, 0.5], [50, 20, 120], size=(1000, 3)).T
+        u, v = forward_project((x, y, z), calib)
+        assert u.shape == v.shape == (1000,)
+        per_point = np.array([forward_project(p, calib) for p in zip(x, y, z)])
+        assert np.stack([u, v], axis=1).tobytes() == per_point.tobytes()
 
     @settings(max_examples=300)
     @given(x=st.floats(-50, 50), y=st.floats(-20, 20),
@@ -124,3 +135,53 @@ class TestBevFootprint:
         area = shoelace(poly)
         assert area == pytest.approx(w * length, rel=1e-9)
         assert area > 0  # counter-clockwise
+
+
+def random_boxes(n, seed=0):
+    """n random boxes as one stacked Box3D, with the edge yaws and some
+    zero dimensions among them."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-60.0, 60.0, size=(n, 3))
+    dims = rng.uniform(0.0, 6.0, size=(n, 3))
+    dims[::40, 0] = 0.0
+    dims[1::40, 1] = 0.0
+    dims[2::40] = 0.0
+    yaws = rng.uniform(-4 * np.pi, 4 * np.pi, size=n)
+    edge = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3 * np.pi]
+    yaws[:len(edge)] = edge
+    return Box3D(center=centers, dims=dims, yaw=yaws)
+
+
+def one_box(boxes, i):
+    return Box3D(center=tuple(boxes.center[i].tolist()), dims=tuple(boxes.dims[i].tolist()),
+                 yaw=float(boxes.yaw[i]))
+
+
+class TestStackedBoxes:
+    # 1,001 boxes: a count other than 3, so a (B, 3) dims array cannot
+    # unpack as one box's (h, w, l).
+    N = 1001
+
+    def test_corners_footprints_and_rotations_equal_per_box_bits(self):
+        boxes = random_boxes(self.N)
+        corners, footprints = box3d_corners(boxes), bev_footprint(boxes)
+        rotations = yaw_matrix(boxes.yaw)
+        assert corners.shape == (self.N, 8, 3)
+        assert footprints.shape == (self.N, 4, 2)
+        assert rotations.shape == (self.N, 3, 3)
+        singles = [one_box(boxes, i) for i in range(self.N)]
+        assert corners.tobytes() == np.array([box3d_corners(b) for b in singles]).tobytes()
+        assert footprints.tobytes() == np.array([bev_footprint(b) for b in singles]).tobytes()
+        assert rotations.tobytes() == np.array([yaw_matrix(b.yaw) for b in singles]).tobytes()
+
+    def test_one_box_keeps_its_shapes(self):
+        box = one_box(random_boxes(10), 9)
+        assert box3d_corners(box).shape == (8, 3)
+        assert bev_footprint(box).shape == (4, 2)
+        assert yaw_matrix(box.yaw).shape == (3, 3)
+
+    def test_empty_batch(self):
+        empty = Box3D(center=np.empty((0, 3)), dims=np.empty((0, 3)), yaw=np.empty(0))
+        assert box3d_corners(empty).shape == (0, 8, 3)
+        assert bev_footprint(empty).shape == (0, 4, 2)
+        assert yaw_matrix(empty.yaw).shape == (0, 3, 3)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mono3d.kitti_io import (CalibFormatError, Difficulty,
                              LabelFormatError, ObjectAnnotation, assign_difficulty,
-                             frame_id, parse_calib_file, parse_label_file,
+                             format_label_line, frame_id, parse_calib_file, parse_label_file,
                              read_split_file, write_prediction_file)
 
 FIXTURE_LINE = ("Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 "
@@ -170,6 +170,31 @@ class TestParseCalibFile:
     def test_negative_focal_length(self):
         with pytest.raises(CalibFormatError):
             parse_calib_file("P2: -1 0 600 0 0 700 170 0 0 0 1 0\n")
+
+    # f, theta and phi are P2 values 0, 2 and 6.
+    @pytest.mark.parametrize("slot", [0, 2, 6])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_intrinsic_rejected(self, slot, value):
+        values = "700 0 600 0 0 700 170 0 0 0 1 0".split()
+        values[slot] = value
+        with pytest.raises(CalibFormatError, match="P2 values must be finite") as err:
+            parse_calib_file("P2: " + " ".join(values) + "\n")
+        assert " ".join(values) in str(err.value)
+
+
+class TestFormatLabelLine:
+    def test_fifteen_fields_without_a_score(self):
+        (a,) = parse_label_file(FIXTURE_LINE)
+        line = format_label_line(a)
+        assert len(line.split()) == 15
+        assert format_label_line(parse_label_file(line)[0]) == line
+
+    def test_sixteen_fields_with_a_score(self):
+        (a,) = parse_label_file(FIXTURE_LINE + " 0.97")
+        line = format_label_line(a)
+        assert len(line.split()) == 16
+        assert line.split()[-1] == "0.970000"
+        assert format_label_line(parse_label_file(line)[0]) == line
 
 
 class TestWritePredictionFile:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mono3d.cli import main
+from mono3d.kitti_io import format_label_line, parse_label_line
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -39,6 +40,18 @@ GOLDEN_EVAL = {
            "8ee511e1700d7312a0a1137c090ffbaba38334749e803e4238c35b54ba79408e"),
 }
 
+# The same digests with `--thresholds 0.1 0.25 0.5 0.7`, taken from the
+# per-box footprints that the stacked ones replaced.
+WIDE_THRESHOLDS = ["0.1", "0.25", "0.5", "0.7"]
+GOLDEN_EVAL_WIDE = {
+    "11": ("76acd7dfca359149bf8e4ae3206ace89577e0b712a8d15b2c84b6d5f1cf9d391",
+           "eea74ce21bd0b38b43dd8ddde0a4e914c11189bc7de0cf221f4c2f1baa3ab541",
+           "f3b3e62ae5dac45220ddf6d14a5b3b13bfb0b82e00960689ce1ce2498e147f6f"),
+    "40": ("6fc373f9b3c027f5721379de20e0cdb2a0f5501f83a836b58d219d545eba6bbf",
+           "eea74ce21bd0b38b43dd8ddde0a4e914c11189bc7de0cf221f4c2f1baa3ab541",
+           "f3b3e62ae5dac45220ddf6d14a5b3b13bfb0b82e00960689ce1ce2498e147f6f"),
+}
+
 
 @pytest.fixture(scope="module")
 def corpus_60(tmp_path_factory):
@@ -52,15 +65,33 @@ def corpus_60(tmp_path_factory):
     return root
 
 
+def eval_digests(corpus, tmp_path, *flags):
+    out = tmp_path / "report.json"
+    assert main(["eval", "--gt-dir", str(corpus / "label_2"),
+                 "--pred-dir", str(corpus / "pred"),
+                 "--calib-dir", str(corpus / "calib"),
+                 "--split", str(corpus / "split.txt"), "--out", str(out), *flags]) == 0
+    return tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in (out, tmp_path / "report_pr.csv",
+                              tmp_path / "report_depth_bins.csv"))
+
+
 @pytest.mark.parametrize("ap_mode", ["11", "40"])
 def test_eval_outputs_match_golden_digests(corpus_60, tmp_path, ap_mode):
-    out = tmp_path / "report.json"
-    assert main(["eval", "--gt-dir", str(corpus_60 / "label_2"),
-                 "--pred-dir", str(corpus_60 / "pred"),
-                 "--calib-dir", str(corpus_60 / "calib"),
-                 "--split", str(corpus_60 / "split.txt"), "--out", str(out),
-                 "--ap-mode", ap_mode]) == 0
-    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
-                    for path in (out, tmp_path / "report_pr.csv",
-                                 tmp_path / "report_depth_bins.csv"))
-    assert digests == GOLDEN_EVAL[ap_mode]
+    assert eval_digests(corpus_60, tmp_path, "--ap-mode", ap_mode) == GOLDEN_EVAL[ap_mode]
+
+
+@pytest.mark.parametrize("ap_mode", ["11", "40"])
+def test_eval_outputs_at_four_thresholds_match_golden_digests(corpus_60, tmp_path, ap_mode):
+    assert eval_digests(corpus_60, tmp_path, "--ap-mode", ap_mode,
+                        "--thresholds", *WIDE_THRESHOLDS) == GOLDEN_EVAL_WIDE[ap_mode]
+
+
+@pytest.mark.parametrize("kind,fields", [("label_2", 15), ("pred", 16)])
+def test_label_lines_come_back_through_parse_and_format(corpus_60, kind, fields):
+    lines = [line for path in sorted((corpus_60 / kind).iterdir())
+             for line in path.read_text().splitlines()]
+    assert len(lines) > 100
+    for number, line in enumerate(lines, start=1):
+        assert len(line.split()) == fields
+        assert format_label_line(parse_label_line(line, number)) == line

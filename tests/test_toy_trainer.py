@@ -382,7 +382,7 @@ class TestStackedTraining:
                                  use_reg, seed)
                 for seed in kwargs["seeds"] for use_reg in kwargs.get("arms", (True, False))]
         trained = toy_trainer._train_runs(runs, cfg, lr=kwargs.get("lr", 1e-3),
-                                          epochs=kwargs["epochs"], tolerance=TOLERANCE_L1)
+                                          epochs=kwargs["epochs"])
         for (head, _), (_, ref_head, _) in zip(trained, expected, strict=True):
             assert head.w.tobytes() == ref_head.w.tobytes()
             assert head.b.tobytes() == ref_head.b.tobytes()

@@ -55,10 +55,6 @@ def write_json(path: Path, payload: dict):
     path.write_text(json.dumps(_round6(payload), indent=2) + "\n", encoding="utf-8")
 
 
-def _read_frame(directory: Path, frame: str) -> str:
-    return (directory / f"{frame}.txt").read_text(encoding="utf-8")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="mono3d", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -102,43 +98,54 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read_split(args, pred_dir: Path | None = None):
+    """Each frame of ``args.split`` as ``{frame: (gts, preds, calib)}``, and
+    every error as ``(file, line, exception)``. A part is None where its file
+    failed or, for predictions, is absent; after a label error the frame's
+    calibration and predictions are not read."""
+    frames, errors = {}, []
+
+    def parse(label: str, path: Path, parser):
+        try:
+            return parser(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            errors.append((label, getattr(exc, "line_number", None), exc))
+
+    for frame in kitti_io.read_split_file(args.split.read_text(encoding="utf-8")):
+        name = f"{frame}.txt"
+        gts = parse(name, args.gt_dir / name, kitti_io.parse_label_file)
+        calib = preds = None
+        if gts is not None:
+            calib = parse(f"calib/{name}", args.calib_dir / name, kitti_io.parse_calib_file)
+            if pred_dir is not None and (pred_dir / name).exists():
+                preds = parse(f"pred/{name}", pred_dir / name, kitti_io.parse_label_file)
+        frames[frame] = (gts, preds, calib)
+    return frames, errors
+
+
+def _located(file: str, line: int | None, exc: Exception) -> str:
+    return f"{file}{'' if line is None else f':{line}'}: {exc}"
+
+
 def cmd_validate(args) -> int:
-    frames = kitti_io.read_split_file(args.split.read_text(encoding="utf-8"))
-    errors = []
+    frames, errors = _read_split(args)
     class_counts: dict[str, int] = {}
     difficulty_counts = {d.name.lower(): 0 for d in kitti_io.Difficulty}
-    for frame in frames:
-        try:
-            text = _read_frame(args.gt_dir, frame)
-        except OSError as exc:
-            errors.append({"file": f"{frame}.txt", "line": None, "message": str(exc)})
-            continue
-        try:
-            annotations = kitti_io.parse_label_file(text)
-        except kitti_io.LabelFormatError as exc:
-            errors.append({"file": f"{frame}.txt", "line": exc.line_number,
-                           "message": str(exc)})
-            continue
-        for a in annotations:
+    for gts, _, _ in frames.values():
+        for a in gts or ():
             class_counts[a.class_name] = class_counts.get(a.class_name, 0) + 1
             difficulty_counts[kitti_io.assign_difficulty(a).name.lower()] += 1
-        try:
-            kitti_io.parse_calib_file(_read_frame(args.calib_dir, frame))
-        except (OSError, kitti_io.CalibFormatError) as exc:
-            errors.append({"file": f"calib/{frame}.txt", "line": None,
-                           "message": str(exc)})
     summary = {
         "frames": len(frames),
-        "errors": errors,
+        "errors": [{"file": f, "line": n, "message": str(e)} for f, n, e in errors],
         "class_counts": dict(sorted(class_counts.items())),
         "difficulty_counts": difficulty_counts,
     }
     if args.out:
         write_json(args.out, summary)
     print(f"validate: {len(frames)} frames, {len(errors)} errors")
-    for err in errors:
-        line = f":{err['line']}" if err["line"] is not None else ""
-        print(f"  {err['file']}{line}: {err['message']}")
+    for error in errors:
+        print(f"  {_located(*error)}")
     return EXIT_INPUT_ERROR if errors else EXIT_OK
 
 
@@ -162,20 +169,12 @@ def cmd_eval(args) -> int:
     if duplicates:
         raise ValueError(f"thresholds must be distinct, got {', '.join(duplicates)} "
                          f"more than once in {args.thresholds}")
-    frames = kitti_io.read_split_file(args.split.read_text(encoding="utf-8"))
-    gts_by_frame = {}
-    preds_by_frame = {}
-    missing = []
-    for frame in frames:
-        gts_by_frame[frame] = kitti_io.parse_label_file(_read_frame(args.gt_dir, frame))
-        kitti_io.parse_calib_file(_read_frame(args.calib_dir, frame))
-        pred_path = args.pred_dir / f"{frame}.txt"
-        if pred_path.exists():
-            preds_by_frame[frame] = kitti_io.parse_label_file(
-                pred_path.read_text(encoding="utf-8"))
-        else:
-            missing.append(frame)
-            preds_by_frame[frame] = []
+    frames, errors = _read_split(args, args.pred_dir)
+    if errors:
+        raise ValueError(_located(*errors[0]))
+    gts_by_frame = {frame: gts for frame, (gts, _, _) in frames.items()}
+    preds_by_frame = {frame: preds or [] for frame, (_, preds, _) in frames.items()}
+    missing = [frame for frame, (_, preds, _) in frames.items() if preds is None]
 
     report = evaluation.evaluate_frames(gts_by_frame, preds_by_frame,
                                         thresholds=args.thresholds,

@@ -3,8 +3,10 @@
 Label files carry one object per line with 15 whitespace-separated fields
 (ground truth) or 16 (predictions, trailing confidence score). Calibration
 files are ``KEY: v0 ... v11`` lines of which only the left colour camera
-projection ``P2`` is consumed. Split files list one frame id per line,
-each id once.
+projection ``P2`` is consumed. A calibration file must hold exactly one
+``P2:`` line of exactly 12 finite numbers (a 3x4 matrix, row-major) with a
+positive focal length and a depth row: the third row's first three values
+may not all be zero. Split files list one frame id per line, each id once.
 
 Parsing is strict and total: every line either yields an annotation of
 finite values, an integral occlusion code, non-negative dimensions, a 2D
@@ -181,23 +183,26 @@ def parse_label_file(text: str) -> list[ObjectAnnotation]:
 
 def parse_calib_file(text: str) -> CameraCalibration:
     """Extract the P2 projection from a KITTI calibration file."""
-    for line in text.splitlines():
-        if not line.startswith("P2:"):
-            continue
-        tokens = line.split()[1:]
-        if len(tokens) < 12:
-            raise CalibFormatError(f"P2 needs 12 values, got {len(tokens)}")
-        try:
-            values = [float(t) for t in tokens[:12]]
-        except ValueError as exc:
-            raise CalibFormatError(f"P2 contains a non-numeric value: {exc}") from None
-        calib = CameraCalibration(p2=np.array(values).reshape(3, 4))
-        if not np.isfinite(calib.p2).all():
-            raise CalibFormatError(f"P2 values must be finite, got {' '.join(tokens[:12])}")
-        if calib.f <= 0:
-            raise CalibFormatError(f"focal length must be positive, got {calib.f}")
-        return calib
-    raise CalibFormatError("no P2 line found")
+    p2_lines = [line.split()[1:] for line in text.splitlines() if line.startswith("P2:")]
+    if not p2_lines:
+        raise CalibFormatError("no P2 line found")
+    if len(p2_lines) > 1:
+        raise CalibFormatError(f"P2 must be given once, got {len(p2_lines)} P2 lines")
+    (tokens,) = p2_lines
+    if len(tokens) != 12:
+        raise CalibFormatError(f"P2 needs 12 values, got {len(tokens)}")
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise CalibFormatError(f"P2 contains a non-numeric value: {exc}") from None
+    calib = CameraCalibration(p2=np.array(values).reshape(3, 4))
+    if not np.isfinite(calib.p2).all():
+        raise CalibFormatError(f"P2 values must be finite, got {' '.join(tokens)}")
+    if calib.f <= 0:
+        raise CalibFormatError(f"focal length must be positive, got {calib.f}")
+    if not calib.p2[2, :3].any():
+        raise CalibFormatError(f"P2 third row has no depth axis, got {' '.join(tokens)}")
+    return calib
 
 
 def format_label_line(a: ObjectAnnotation) -> str:

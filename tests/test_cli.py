@@ -6,12 +6,32 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_corpus
+from conftest import CALIB_TEXT, write_corpus
 from mono3d.cli import main
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _append(path, text):
+    path.write_text(path.read_text() + text)
+
+
+# Each breaks one file of the fixture corpus; validate and eval must name
+# the same first error.
+BROKEN_INPUTS = {
+    "truncated-gt-line": lambda c: _append(c["gt"] / "000001.txt", "Car 0.0 0 0.0 1 2 3\n"),
+    "missing-gt-file": lambda c: (c["gt"] / "000001.txt").unlink(),
+    "non-finite-calib": lambda c: (c["calib"] / "000002.txt").write_text(
+        "P2: nan 0 600 0 0 700 170 0 0 0 1 0\n"),
+    "extra-p2-values": lambda c: (c["calib"] / "000002.txt").write_text(
+        "P2: 700 0 600 0 0 700 170 0 0 0 1 0 99 abc\n"),
+    "second-p2": lambda c: _append(c["calib"] / "000000.txt", CALIB_TEXT),
+    "zero-depth-row": lambda c: (c["calib"] / "000001.txt").write_text(
+        "P2: 700 0 600 0 0 700 170 0 0 0 0 0\n"),
+    "non-utf8-label": lambda c: (c["gt"] / "000002.txt").write_bytes(b"\xff\xfe"),
+}
 
 
 class TestValidate:
@@ -75,6 +95,18 @@ class TestValidate:
         assert error["message"] == ("P2 values must be finite, got "
                                     "721.5 0 inf 0 0 721.5 172.8 0 0 0 1 0")
         assert "calib/000001.txt: P2 values must be finite" in capsys.readouterr().out
+
+    def test_non_utf8_label_file_is_listed(self, corpus, tmp_path):
+        (corpus["gt"] / "000000.txt").write_bytes(b"\xff\xfe")
+        (corpus["calib"] / "000002.txt").write_text("P2: nan 0 600 0 0 700 170 0 0 0 1 0\n")
+        out = tmp_path / "validate.json"
+        code = run(["validate", "--gt-dir", corpus["gt"], "--calib-dir",
+                    corpus["calib"], "--split", corpus["split"], "--out", out])
+        assert code == 1
+        errors = json.loads(out.read_text())["errors"]
+        assert [(e["file"], e["line"]) for e in errors] == [("000000.txt", None),
+                                                            ("calib/000002.txt", None)]
+        assert "can't decode byte 0xff" in errors[0]["message"]
 
 
 class TestEval:
@@ -142,7 +174,9 @@ class TestEval:
         lines[1] = " ".join(tokens)
         pred.write_text("\n".join(lines) + "\n")
         assert run(self.eval_args(corpus, tmp_path / "report.json")) == 1
-        assert "not finite (line 2, field 13)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("mono3d: pred/000001.txt:2: ")
+        assert "not finite (line 2, field 13)" in err
 
     def test_degenerate_pair_is_input_error(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "data")
@@ -200,8 +234,21 @@ class TestEval:
         (corpus["calib"] / "000002.txt").write_text("P2: nan 0 600 0 0 700 170 0 0 0 1 0\n")
         out = tmp_path / "report.json"
         assert run(self.eval_args(corpus, out)) == 1
-        assert capsys.readouterr().err == ("mono3d: P2 values must be finite, got "
-                                           "nan 0 600 0 0 700 170 0 0 0 1 0\n")
+        assert capsys.readouterr().err == ("mono3d: calib/000002.txt: P2 values must be "
+                                           "finite, got nan 0 600 0 0 700 170 0 0 0 1 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("breakage", list(BROKEN_INPUTS))
+    def test_eval_raises_the_first_error_validate_lists(self, corpus, tmp_path, capsys,
+                                                         breakage):
+        BROKEN_INPUTS[breakage](corpus)
+        assert run(["validate", "--gt-dir", corpus["gt"], "--calib-dir",
+                    corpus["calib"], "--split", corpus["split"]]) == 1
+        first_error = capsys.readouterr().out.splitlines()[1]
+        assert first_error.startswith("  ")
+        out = tmp_path / "report.json"
+        assert run(self.eval_args(corpus, out)) == 1
+        assert capsys.readouterr().err == f"mono3d: {first_error[2:]}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("depth,shown", [("-10.00", "-10"), ("0.00", "0")])

@@ -181,6 +181,16 @@ class TestParseCalibFile:
             parse_calib_file("P2: " + " ".join(values) + "\n")
         assert " ".join(values) in str(err.value)
 
+    @pytest.mark.parametrize("text,message", [
+        ("P2: 700 0 600 0 0 700 170 0 0 0 1 0 99 abc\n", "P2 needs 12 values, got 14"),
+        ("P2: 700 0 600 0 0 700 170 0 0 0 1 0\nP2: 700 0 600 0 0 700 170 0 0 0 1 0\n",
+         "P2 must be given once, got 2 P2 lines"),
+        ("P2: 700 0 600 0 0 700 170 0 0 0 0 0\n", "P2 third row has no depth axis"),
+    ], ids=["extra-values", "second-p2", "zero-depth-row"])
+    def test_malformed_p2_rejected(self, text, message):
+        with pytest.raises(CalibFormatError, match=message):
+            parse_calib_file(text)
+
 
 class TestFormatLabelLine:
     def test_fifteen_fields_without_a_score(self):

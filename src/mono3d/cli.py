@@ -15,8 +15,6 @@ byte-identical across reruns for fixed inputs and seed. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -40,19 +38,57 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _round6(value):
+def _rounded_floats(values) -> list[float]:
+    """``[round(v, 6) for v in values]`` for Python floats, rounded in one
+    numpy step. With q = v * 1e6, ``rint(q) / 1e6`` is that double whenever
+    q lies more than one ulp from a half-integer: ``rint`` then picks the
+    correctly rounded integer k despite the product's error, and the
+    division returns the double nearest k / 10**6, as ``round`` does. The
+    test fails for NaN, infinities, near-ties and every |q| >= 2**51 (an ulp
+    of at least 0.5); those values go through ``round``."""
+    with np.errstate(all="ignore"):
+        q = np.array(values, dtype=np.float64) * 1e6
+        exact = np.abs(q - np.floor(q) - 0.5) > np.abs(np.spacing(q))
+        rounded = (np.rint(q) / 1e6).tolist()
+    for i in np.flatnonzero(~exact).tolist():
+        rounded[i] = round(values[i], 6)
+    return rounded
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` at nesting ``depth``, each float
+    rounded to 6 decimals. A dict or list that holds no non-empty dict or
+    list is written in one call of json's C encoder, which ``indent`` would
+    turn off, with the indented separator passed in its place; a list of
+    Python floats is rounded by ``_rounded_floats``."""
     if isinstance(value, float):
-        return round(value, 6)
-    if isinstance(value, dict):
-        return {k: _round6(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round6(v) for v in value]
-    return value
+        return json.dumps(round(value, 6))
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    is_dict = isinstance(value, dict)
+    newline = "\n" + "  " * (depth + 1)
+    separators = ("," + newline, ": ")
+    if not is_dict and all(type(v) is float for v in value):
+        body = json.dumps(_rounded_floats(value), separators=separators)[1:-1]
+    elif any(isinstance(v, (dict, list, tuple)) and v
+             for v in (value.values() if is_dict else value)):
+        # json.dumps writes a non-str key as its JSON text in quotes
+        # (1 -> "1"); encoding a one-entry dict applies that rule.
+        parts = [f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, depth + 1)}"
+                 for k, v in value.items()] if is_dict else \
+            [_json_text(v, depth + 1) for v in value]
+        body = ("," + newline).join(parts)
+    else:
+        flat = {k: round(v, 6) if isinstance(v, float) else v for k, v in value.items()} \
+            if is_dict else [round(v, 6) if isinstance(v, float) else v for v in value]
+        body = json.dumps(flat, separators=separators)[1:-1]
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + newline + body + "\n" + "  " * depth + closing
 
 
 def write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_round6(payload), indent=2) + "\n", encoding="utf-8")
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def build_parser() -> _Parser:
@@ -150,13 +186,11 @@ def cmd_validate(args) -> int:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.6f}" if isinstance(v, float) else ("" if v is None else v)
-                         for v in row])
-    path.write_text(buffer.getvalue(), encoding="utf-8")
+    """Comma-joined rows: floats as ``f"{v:.6f}"``, None empty, the rest ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join([f"{v:.6f}" if isinstance(v, float) else ("" if v is None else str(v))
+                        for v in row]) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_eval(args) -> int:

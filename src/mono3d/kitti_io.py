@@ -12,7 +12,8 @@ Parsing is strict and total: every line either yields an annotation of
 finite values, an integral occlusion code, non-negative dimensions, a 2D
 box with right >= left and bottom >= top, and (on ground-truth lines) a
 truncation in [0, 1] (``DontCare`` rows excepted), or a located error
-(line number, field index); nothing is dropped silently.
+(its ``line_number``, and the field index in its message); nothing is
+dropped silently.
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ class LabelFormatError(ValueError):
                  field_index: int | None = None):
         self.line_number = line_number
         self.field_index = field_index
-        loc = ""
-        if line_number is not None:
-            loc += f" (line {line_number}"
-            loc += f", field {field_index})" if field_index is not None else ")"
-        super().__init__(message + loc)
+        # The line is left to the caller's ``file:line:`` prefix.
+        super().__init__(message if field_index is None else f"{message} (field {field_index})")
 
 
 class CalibFormatError(ValueError):

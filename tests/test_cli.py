@@ -1,12 +1,19 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CALIB_TEXT, write_corpus
+from mono3d import cli
 from mono3d.cli import main
 
 
@@ -174,9 +181,8 @@ class TestEval:
         lines[1] = " ".join(tokens)
         pred.write_text("\n".join(lines) + "\n")
         assert run(self.eval_args(corpus, tmp_path / "report.json")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("mono3d: pred/000001.txt:2: ")
-        assert "not finite (line 2, field 13)" in err
+        assert capsys.readouterr().err == ("mono3d: pred/000001.txt:2: field 'nan' is not "
+                                           "finite (field 13)\n")
 
     def test_degenerate_pair_is_input_error(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "data")
@@ -466,3 +472,83 @@ class TestModuleEntry:
                                "--no-such-flag")
         assert done.returncode == 1
         assert "unrecognized arguments: --no-such-flag" in done.stderr
+
+
+def _round6(value):
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return {k: _round6(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round6(v) for v in value]
+    return value
+
+
+def oracle_json(payload) -> str:
+    """What ``write_json`` wrote before its own writer: a rounded copy of the
+    payload through json's pure-Python ``indent=2`` encoder."""
+    return json.dumps(_round6(payload), indent=2)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308,
+               # around |v * 1e6| = 2**51 and 2**52, where its ulp reaches 0.5 and 1
+               *(s * math.ldexp(1.0, e) / 1e6 * f for s in (1, -1) for e in (51, 52)
+                 for f in (1 - 2e-16, 1.0, 1 + 2e-16))]
+TIES = [(k + 0.5) / 1e6 for k in range(-20_000, 20_001)] + \
+    [k / 2e6 for k in range(-20_000, 20_001)]
+SPREAD = (np.random.default_rng(0).choice([-1.0, 1.0], 4000)
+          * 10.0 ** np.random.default_rng(1).uniform(-12, 18, 4000)).tolist()
+
+
+class TestJsonWriter:
+    """``write_json`` lays out and rounds a payload byte for byte as
+    ``oracle_json`` does, and its vectorised round is Python's ``round``."""
+
+    @pytest.mark.parametrize("values", [EDGE_FLOATS, TIES, SPREAD],
+                             ids=["edges", "ties", "spread"])
+    def test_vectorised_round_is_round(self, values):
+        assert [repr(v) for v in cli._rounded_floats(values)] == \
+            [repr(round(v, 6)) for v in values]
+
+    @pytest.mark.parametrize("payload", [
+        {"edges": EDGE_FLOATS, "ties": TIES, "spread": SPREAD},
+        {"scalar": np.float64(0.1234565), "list": [np.float64(-2.5e-7), 0.1, 0.2]},
+        [1.0, 2, True, None, 0.3333333, False, -7],
+        {"tuple": (0.1, 0.25), "empty": [{}, [], (), ""], "nested": [[0.1], [[], [1e-7]]]},
+        {"naïve": "crème ☃ \U0001f600", "": {"ü": [None]}},
+        {1: [0.1, 2], 2.5: {"a": 0.1234567, 3: 1e-7}, None: [], False: [[1e-7]]},
+        0.1234565, "text", None, [], {},
+    ], ids=["floats", "numpy", "mixed", "containers", "unicode", "non-str-keys",
+            "float", "str", "none", "list", "dict"])
+    def test_matches_oracle(self, payload):
+        assert cli._json_text(payload) == oracle_json(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.recursive(
+        st.floats() | st.floats().map(np.float64) | st.integers() | st.booleans()
+        | st.none() | st.text(),
+        lambda children: st.lists(children) | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children) | st.lists(st.floats()),
+        max_leaves=20))
+    def test_random_payloads_match_oracle(self, payload):
+        with np.errstate(all="ignore"):  # numpy's own round of a huge np.float64
+            assert cli._json_text(payload) == oracle_json(payload)
+
+    def test_write_json_ends_with_a_newline(self, tmp_path):
+        payload = {"loss_curve": SPREAD[:100], "n": 3}
+        cli.write_json(tmp_path / "sub" / "out.json", payload)
+        assert (tmp_path / "sub" / "out.json").read_text() == oracle_json(payload) + "\n"
+
+    def test_csv_matches_csv_writer(self, tmp_path):
+        header = ["curve", "lo", "count", "ra"]
+        rows = [["3d_easy_0.7", 0.1234565, 3, None], ["bev_hard_0.5", math.inf, 0, -0.0],
+                ["x", np.float64(1e-7), True, 2.5]]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.6f}" if isinstance(v, float) else ("" if v is None else v)
+                             for v in row])
+        cli._write_csv(tmp_path / "out.csv", header, rows)
+        assert (tmp_path / "out.csv").read_text() == buffer.getvalue()

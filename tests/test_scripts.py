@@ -53,6 +53,17 @@ GOLDEN_EVAL_WIDE = {
 }
 
 
+# sha256 of the other commands' JSON, taken from the writer that rounded a
+# copy of the payload and ran json's indent=2 encoder over it.
+GOLDEN_JSON = {
+    "train-toy": ("30e5ed28c8bbc950c3fb6d95699ca27ab768f47a074e87f0868db0440bbed985",
+                  ["--n-seeds", "2", "--epochs", "300"]),
+    "iou-oracle": ("3984aa1a47c6b494feb80b30201bea8e0930711ce49b8341cfc31fe2b548d63b",
+                   ["--n-pairs", "3", "--n-samples", "10000"]),
+}
+GOLDEN_VALIDATE_60 = "fb37646e9e7dde6ef5db7e4ab1bd49aa77de1b6a524a21cb9c56678214cb881a"
+
+
 @pytest.fixture(scope="module")
 def corpus_60(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden") / "corpus"
@@ -85,6 +96,22 @@ def test_eval_outputs_match_golden_digests(corpus_60, tmp_path, ap_mode):
 def test_eval_outputs_at_four_thresholds_match_golden_digests(corpus_60, tmp_path, ap_mode):
     assert eval_digests(corpus_60, tmp_path, "--ap-mode", ap_mode,
                         "--thresholds", *WIDE_THRESHOLDS) == GOLDEN_EVAL_WIDE[ap_mode]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_JSON))
+def test_command_json_matches_golden_digest(tmp_path, command):
+    digest, flags = GOLDEN_JSON[command]
+    out = tmp_path / "out.json"
+    assert main([command, "--out", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_validate_json_matches_golden_digest(corpus_60, tmp_path):
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--gt-dir", str(corpus_60 / "label_2"),
+                 "--calib-dir", str(corpus_60 / "calib"),
+                 "--split", str(corpus_60 / "split.txt"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VALIDATE_60
 
 
 @pytest.mark.parametrize("kind,fields", [("label_2", 15), ("pred", 16)])

@@ -82,6 +82,12 @@ class SimilarityGraph:
     lam: float
 
 
+def check_lam(lam: float) -> None:
+    """Reject a similarity bandwidth that is not finite and positive."""
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+
+
 def similarity(u_i: float, u_j: float, z_i: float, z_j: float,
                lam: float = DEFAULT_LAMBDA) -> float:
     """Pairwise similarity in (0, 1]; 1 exactly at zero offsets.
@@ -89,8 +95,7 @@ def similarity(u_i: float, u_j: float, z_i: float, z_j: float,
     Computed in log space so a large depth gap underflows the result to 0
     instead of overflowing the depth factor.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    check_lam(lam)
     du = u_i - u_j
     dz = z_i - z_j
     return math.exp(-du * du - dz * dz / lam)
@@ -102,8 +107,7 @@ def build_graph(batch: FeatureBatch, lam: float = DEFAULT_LAMBDA) -> SimilarityG
     Works in place, with the same float operations in the same order as
     ``np.exp(-du * du - dz * dz / lam)`` and ``np.diag(d) - s``.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    check_lam(lam)
     s = batch.u2d[:, None] - batch.u2d[None, :]
     dz = batch.z3d[:, None] - batch.z3d[None, :]
     s *= s

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import Box2D, inverse_project
 from .kitti_io import CameraCalibration
-from .locality import FeatureBatch, LinearHead, SimilarityGraph, reg_trace
+from .locality import FeatureBatch, LinearHead, SimilarityGraph, check_lam, reg_trace
 
 GRID_ROWS = 32
 GRID_COLS = 32
@@ -38,8 +38,7 @@ class LossConfig:
     lam: float = 100.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        check_lam(self.lam)
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):

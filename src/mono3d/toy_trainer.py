@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import forward_project
 from .kitti_io import CameraCalibration
 from .locality import (DEFAULT_LAMBDA, FeatureBatch, LinearHead, build_graph,
-                       quadratic_form)
+                       check_lam, quadratic_form)
 from .losses import LossConfig
 
 TOY_IMAGE_WIDTH = 1242.0
@@ -53,6 +53,10 @@ MOMENTUM = 0.9
 LR_DECAY = 0.994
 TOLERANCE_L1 = 0.5       # metres of per-object centre error
 DIVERGENCE_LIMIT = 1e12
+
+# Elements in each pairwise temporary of neighbor_order_violations
+# (1 MB of float64).
+_VIOLATION_BLOCK = 1 << 17
 
 
 class TrainingDiverged(RuntimeError):
@@ -161,17 +165,27 @@ def neighbor_order_violations(head: LinearHead, scene: SyntheticScene,
     ``sqrt(lam) / 2``; a contradiction is a strictly opposite sign of the
     predicted and true horizontal differences.
     """
+    check_lam(lam)
     pred = head.predict(scene.features)
     u_pred = pred[0]
     u_gt, z_gt = scene.gt
     cutoff = np.sqrt(lam) / 2.0
+    m = scene.size
     count = 0
-    # One row's tail j > i at a time: the same float operations as the
-    # pairwise definition, without an M x M temporary.
-    for i in range(scene.size - 1):
-        near = np.abs(z_gt[i] - z_gt[i + 1:]) < cutoff
-        flipped = (u_gt[i] - u_gt[i + 1:]) * (u_pred[i] - u_pred[i + 1:]) < 0
-        count += int(np.count_nonzero(near & flipped))
+    # Rows [s, e) against the columns j > s, with a cols > rows mask: the
+    # upper triangle in blocks of whole rows, each temporary at most
+    # _VIOLATION_BLOCK elements, with the float operations of the
+    # pairwise definition.
+    rows_per_block = max(1, _VIOLATION_BLOCK // max(m - 1, 1))
+    for s in range(0, m - 1, rows_per_block):
+        e = min(s + rows_per_block, m - 1)
+        dz = z_gt[s:e, None] - z_gt[None, s + 1:]
+        near = np.abs(dz, out=dz) < cutoff
+        product = u_gt[s:e, None] - u_gt[None, s + 1:]
+        product *= u_pred[s:e, None] - u_pred[None, s + 1:]
+        near &= product < 0
+        near &= np.arange(s + 1, m) > np.arange(s, e)[:, None]
+        count += int(np.count_nonzero(near))
     return count
 
 
@@ -208,12 +222,18 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     a batched ``@``. Each slice goes through the float operations of a
     lone :func:`train` call: one GEMM per slice, with X^T passed as a
     transposed view as in the 2-D code, and each sum taken over one
-    run's contiguous slice. Heads, loss curves and reports are therefore
-    bitwise those of training the runs one after another, in the order
-    given. That order also settles divergence: when run k is the earliest
-    to diverge in an epoch, runs 0..k-1 are retrained as a stack of their
-    own, and :class:`TrainingDiverged` names run k if they all finish.
-    Otherwise the retrain raises for the earliest of them that diverges.
+    run's contiguous slice. The residual, |residual|, sign and gradient
+    buffers are allocated once per call, and every epoch writes into
+    them through ``out=`` and in-place operators: the same ufuncs on the
+    same operands in the same order as the expressions they replace. The
+    data term of every epoch is kept, and each run's first epoch under
+    tolerance is found after the loop. Heads, loss curves and reports are
+    therefore bitwise those of training the runs one after another, in
+    the order given. That order also settles divergence: when run k is
+    the earliest to diverge in an epoch, runs 0..k-1 are retrained as a
+    stack of their own, and :class:`TrainingDiverged` names run k if they
+    all finish. Otherwise the retrain raises for the earliest of them
+    that diverges.
     """
     if not runs:
         return []
@@ -242,16 +262,25 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     vel_w = np.zeros_like(w)
     vel_b = np.zeros_like(b)
 
-    curves = np.empty((len(rank), epochs))
-    reached = np.full(len(rank), -1)       # epoch of first tolerance hit, -1 before
+    # Every epoch runs into these buffers in place.
+    residual = np.empty_like(gt)
+    abs_residual = np.empty_like(gt)
+    sign = np.empty_like(gt)
+    grad_w = np.empty_like(w)
+    grad_b = np.empty_like(b)
+    xt = x.transpose(0, 2, 1)
+    data = np.empty((len(rank), epochs))     # the data term, per run and epoch
+    curves = np.empty((len(rank), epochs))   # the objective, per run and epoch
     step = lr
     for epoch in range(epochs):
-        residual = (w @ x + b[:, :, None]) - gt
-        data_l1 = np.abs(residual).reshape(len(rank), -1).sum(axis=1)
-        objective = data_l1
+        np.matmul(w, x, out=residual)
+        residual += b[:, :, None]
+        residual -= gt
+        np.abs(residual, out=abs_residual)
+        objective = abs_residual.reshape(len(rank), -1).sum(axis=1)
+        data[:, epoch] = objective
         if n_reg:
             reg, reg_grad = quadratic_form(w[:n_reg], xpxt, cfg.beta)
-            objective = data_l1.copy()
             objective[:n_reg] += reg
         bad = ~np.isfinite(objective) | (objective > DIVERGENCE_LIMIT)
         if bad.any():
@@ -262,20 +291,25 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
             _train_runs(runs[:first], cfg, lr, epochs)
             raise TrainingDiverged(epoch - 1, runs[first].context)
         curves[:, epoch] = objective
-        reached[(reached < 0) & (data_l1 / m < TOLERANCE_L1)] = epoch
 
-        sign = np.sign(residual)
-        grad_w = sign @ x.transpose(0, 2, 1)
-        grad_b = sign.sum(axis=2)
+        np.sign(residual, out=sign)
+        np.matmul(sign, xt, out=grad_w)
+        sign.sum(axis=2, out=grad_b)
         if n_reg:
             grad_w[:n_reg] += reg_grad
         vel_w *= MOMENTUM
-        vel_w -= step * grad_w
+        grad_w *= step
+        vel_w -= grad_w
         vel_b *= MOMENTUM
-        vel_b -= step * grad_b
+        grad_b *= step
+        vel_b -= grad_b
         w += vel_w
         b += vel_b
         step *= LR_DECAY
+
+    # epoch of each run's first tolerance hit, -1 if it never hit
+    hit = data / m < TOLERANCE_L1
+    reached = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
     results: list = [None] * len(runs)
     for slot, k in enumerate(rank):

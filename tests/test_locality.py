@@ -23,6 +23,9 @@ def random_instance(seed, m=None, n=None, scale=1.0):
     return head, batch, graph
 
 
+BAD_BANDWIDTHS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, -10.0]
+
+
 class TestSimilarity:
     def test_zero_offsets(self):
         assert similarity(0.3, 0.3, 12.0, 12.0, 100.0) == 1.0
@@ -35,9 +38,9 @@ class TestSimilarity:
         assert similarity(1.0, 0.0, 5.0, 5.0, 100.0) == pytest.approx(
             math.exp(-1), abs=1e-9)
 
-    @pytest.mark.parametrize("lam", [0.0, -10.0])
+    @pytest.mark.parametrize("lam", BAD_BANDWIDTHS)
     def test_bad_bandwidth(self, lam):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
             similarity(0.0, 0.0, 1.0, 1.0, lam)
 
     def test_huge_depth_gap_underflows_to_zero(self):
@@ -52,6 +55,12 @@ class TestSimilarity:
 
 
 class TestBuildGraph:
+    @pytest.mark.parametrize("lam", BAD_BANDWIDTHS)
+    def test_bad_bandwidth(self, lam):
+        _, batch, _ = random_instance(0, m=3)
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            build_graph(batch, lam)
+
     def test_single_object(self):
         batch = FeatureBatch(x=np.ones((3, 1)), u2d=np.array([0.5]),
                              z3d=np.array([10.0]))

@@ -239,6 +239,30 @@ class TestNeighborOrderViolations:
             assert expected > 0
             assert neighbor_order_violations(self.U_HEAD, scene, lam) == expected
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 50])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_row_blocks_match_brute_force(self, monkeypatch, m, rows):
+        # a cap of rows * (m - 1) elements makes each block `rows` rows tall
+        monkeypatch.setattr(toy_trainer, "_VIOLATION_BLOCK", rows * max(m - 1, 1))
+        rng = np.random.default_rng(m)
+        # the data of test_matches_brute_force_at_scale: pairs exactly at the
+        # cutoff, equal ground truths and equal predictions
+        z = 10.0 + 0.5 * rng.integers(0, 40, size=m)
+        u = np.round(rng.normal(size=m), 1)
+        u_pred = u + rng.normal(scale=0.3, size=m)
+        u_pred[rng.integers(0, m, size=m // 4)] = 0.0
+        scene = self.pair_scene(u, z, u_pred)
+        for lam in (100.0, 4.0, 1e6):
+            expected = brute_force_violations(self.U_HEAD, scene, lam)
+            assert expected > 0 or m < 50
+            assert neighbor_order_violations(self.U_HEAD, scene, lam) == expected
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_bad_bandwidth(self, lam):
+        scene = self.pair_scene([0.0, 1.0], [10.0, 14.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            neighbor_order_violations(self.U_HEAD, scene, lam)
+
     def test_depth_cutoff_excludes_far_pairs(self):
         u = np.array([0.0, 1.0])
         z = np.array([10.0, 60.0])
@@ -364,9 +388,12 @@ class TestStackedTraining:
         dict(seeds=[1, 2, 3], n_objects=1, epochs=300),
         dict(seeds=[1, 2, 3], n_objects=50, epochs=1),
         dict(seeds=[3], n_objects=200, feature_dim=24, epochs=300, lr=1e-4),
+        # the shape of perfbench's toy-wide workload
+        dict(seeds=[0], n_objects=1000, epochs=200, cfg=LossConfig(beta=0.02)),
     ])
     def test_paired_experiment_matches_reference(self, kwargs):
-        cfg = LossConfig()
+        kwargs = dict(kwargs)
+        cfg = kwargs.pop("cfg", LossConfig())
         expected = reference_paired_runs(cfg=cfg, **kwargs)
         out = run_paired_experiment(cfg=cfg, **kwargs)
         reports = out["reports"]

@@ -194,15 +194,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 
 def cmd_eval(args) -> int:
-    if any(not (0.0 < t <= 1.0) for t in args.thresholds):
-        raise ValueError(f"thresholds must lie in (0, 1], got {args.thresholds}")
-    # The report keys each threshold by f"{thr:g}", so two thresholds
-    # with one key would leave one entry for two requested.
-    keys = [f"{t:g}" for t in args.thresholds]
-    duplicates = sorted({k for k in keys if keys.count(k) > 1})
-    if duplicates:
-        raise ValueError(f"thresholds must be distinct, got {', '.join(duplicates)} "
-                         f"more than once in {args.thresholds}")
+    evaluation.check_thresholds(args.thresholds)
     frames, errors = _read_split(args, args.pred_dir)
     if errors:
         raise ValueError(_located(*errors[0]))

@@ -15,18 +15,22 @@ binned by depth.
 A split evaluation clips every (prediction, ground truth) pair of the
 split once, in one batched pass: the pairs of all frames are stacked and
 clipped a fixed-size chunk at a time, with the per-edge sign tests as
-array operations. The results are sliced back into one overlap matrix
-per frame, and every difficulty tier, metric and threshold, and the
-localization pass, reads its rows. ``frame_overlaps``, ``iou_3d`` and
-``bev_iou`` are one-frame and one-pair calls of the same pass.
+array operations. Matching then runs every difficulty tier, metric and
+threshold at once, as rank steps: the frames' overlap matrices, rows in
+visit order, are padded with -inf into blocks of frames, and step r
+matches every frame's rank-r prediction under every pass with one masked
+argmax. Average precision sorts the split's predictions by score once;
+each pass's curve is a running sum over that order. The localization
+report reads the pairs of one of those passes. ``frame_overlaps``,
+``iou_3d`` and ``bev_iou`` are one-frame and one-pair calls of the
+overlap pass, ``match_frame`` and ``average_precision`` one-frame and
+one-pass calls of matching and AP.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -186,14 +190,24 @@ _DEGENERATE = ("both boxes are degenerate", "both footprints are degenerate")
 _CLIP_CHUNK = 2048
 
 
-def _box_columns(boxes: Sequence[Box3D]) -> tuple[np.ndarray, ...]:
-    """Per-box arrays: BEV footprints ``(B, 4, 2)``, their signed areas,
-    bottom-face heights ``y`` and box heights ``h``."""
-    centers = np.array([b.center for b in boxes], dtype=float).reshape(-1, 3)
-    dims = np.array([b.dims for b in boxes], dtype=float).reshape(-1, 3)
-    footprints = bev_footprint(Box3D(centers, dims, np.array([b.yaw for b in boxes], dtype=float)))
-    return (footprints, polygon_area(footprints, np.full(len(boxes), 4)),
-            centers[:, 1], dims[:, 0])
+def _box_stack(centers, dims, yaws) -> Box3D:
+    """One stacked :class:`Box3D` of per-box centres, dims and yaws."""
+    return Box3D(np.array(centers, dtype=float).reshape(-1, 3),
+                 np.array(dims, dtype=float).reshape(-1, 3), np.array(yaws, dtype=float))
+
+
+def _annotation_stack(annotations: Sequence[ObjectAnnotation]) -> Box3D:
+    """:func:`annotation_box3d` of every annotation, as one stack."""
+    return _box_stack([a.location for a in annotations], [a.dims for a in annotations],
+                      [a.rotation_y for a in annotations])
+
+
+def _box_columns(boxes: Box3D) -> tuple[np.ndarray, ...]:
+    """Per-box arrays of a stack: BEV footprints ``(B, 4, 2)``, their
+    signed areas, bottom-face heights ``y`` and box heights ``h``."""
+    footprints = bev_footprint(boxes)
+    return (footprints, polygon_area(footprints, np.full(len(footprints), 4)),
+            boxes.center[:, 1], boxes.dims[:, 0])
 
 
 def _ratio(num: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:
@@ -208,21 +222,23 @@ def _ratio(num: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarra
     return out
 
 
-def _overlap_matrices(frames: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]]
-                      ) -> list[np.ndarray]:
-    """:func:`frame_overlaps` of many frames of (row boxes, column boxes),
-    every pair of every frame clipped in one batched pass, with the row
-    box as the subject."""
-    row_boxes = _box_columns([b for boxes, _ in frames for b in boxes])
-    col_boxes = _box_columns([b for _, boxes in frames for b in boxes])
-    n_rows = np.array([len(boxes) for boxes, _ in frames], dtype=int)
-    n_cols = np.array([len(boxes) for _, boxes in frames], dtype=int)
-    sizes = n_rows * n_cols
-    ends = np.cumsum(sizes)
-    # Pair p of the split belongs to frame frame_of[p]; local is its
-    # row-major position in that frame's matrix.
-    frame_of = np.repeat(np.arange(len(frames)), sizes)
-    local = np.arange(int(sizes.sum())) - (ends - sizes)[frame_of]
+def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For segments of ``counts`` elements laid end to end: each element's
+    segment, and its position within it."""
+    segment = np.repeat(np.arange(len(counts)), counts)
+    return segment, np.arange(len(segment)) - (np.cumsum(counts) - counts)[segment]
+
+
+def _pair_overlaps(rows: Box3D, cols: Box3D, n_rows: np.ndarray,
+                   n_cols: np.ndarray) -> np.ndarray:
+    """3D and BEV IoU of every (row box, column box) pair of many frames,
+    shape ``(2, sum(n_rows * n_cols))``: frame by frame, each frame's
+    ``(n_rows, n_cols)`` matrix row-major. The stacks hold the frames'
+    boxes end to end. Every pair is clipped in one batched pass, with the
+    row box as the subject."""
+    row_boxes = _box_columns(rows)
+    col_boxes = _box_columns(cols)
+    frame_of, local = _segments(n_rows * n_cols)
     pair_rows = (np.cumsum(n_rows) - n_rows)[frame_of] + local // n_cols[frame_of]
     pair_cols = (np.cumsum(n_cols) - n_cols)[frame_of] + local % n_cols[frame_of]
 
@@ -238,6 +254,24 @@ def _overlap_matrices(frames: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]]
         values[0, chunk] = _ratio(inter * np.where(y_overlap > 0.0, y_overlap, 0.0),
                                   area_a * h_a, area_b * h_b)
         values[1, chunk] = _ratio(inter, area_a, area_b)
+    return values
+
+
+def _overlap_matrices(frames: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]]
+                      ) -> list[np.ndarray]:
+    """:func:`frame_overlaps` of many frames of (row boxes, column boxes),
+    every pair of every frame clipped in one batched pass, with the row
+    box as the subject."""
+    def stack(boxes: list[Box3D]) -> Box3D:
+        return _box_stack([b.center for b in boxes], [b.dims for b in boxes],
+                          [b.yaw for b in boxes])
+
+    n_rows = np.array([len(boxes) for boxes, _ in frames], dtype=int)
+    n_cols = np.array([len(boxes) for _, boxes in frames], dtype=int)
+    values = _pair_overlaps(stack([b for boxes, _ in frames for b in boxes]),
+                            stack([b for _, boxes in frames for b in boxes]), n_rows, n_cols)
+    sizes = n_rows * n_cols
+    ends = np.cumsum(sizes)
     return [values[:, end - size:end].reshape(2, r, c)
             for end, size, r, c in zip(ends.tolist(), sizes.tolist(),
                                        n_rows.tolist(), n_cols.tolist())]
@@ -251,8 +285,9 @@ def frame_overlaps(preds: Sequence[ObjectAnnotation],
     Each pair is clipped once. A pair whose boxes are both degenerate
     under a metric holds NaN in that metric's plane.
     """
-    return _overlap_matrices([([annotation_box3d(p) for p in preds],
-                               [annotation_box3d(g) for g in gts])])[0]
+    n_rows, n_cols = len(preds), len(gts)
+    return _pair_overlaps(_annotation_stack(preds), _annotation_stack(gts), np.array([n_rows]),
+                          np.array([n_cols])).reshape(2, n_rows, n_cols)
 
 
 def _one_pair(a: Box3D, b: Box3D, metric: str) -> float:
@@ -347,95 +382,196 @@ def filter_by_difficulty(annotations: Sequence[ObjectAnnotation],
             if a.class_name == class_name and assign_difficulty(a) <= difficulty]
 
 
+def check_thresholds(thresholds: Sequence[float]) -> None:
+    """Reject an empty list of IoU thresholds, a threshold outside (0, 1]
+    (NaN included), and two thresholds with one report key ``f"{thr:g}"``."""
+    if not len(thresholds):
+        raise ValueError("need at least one threshold")
+    if any(not (0.0 < t <= 1.0) for t in thresholds):
+        raise ValueError(f"thresholds must lie in (0, 1], got {thresholds}")
+    # The report keys each threshold by f"{thr:g}", so two thresholds
+    # with one key would leave one entry for two requested.
+    keys = [f"{t:g}" for t in thresholds]
+    duplicates = sorted({k for k in keys if keys.count(k) > 1})
+    if duplicates:
+        raise ValueError(f"thresholds must be distinct, got {', '.join(duplicates)} "
+                         f"more than once in {thresholds}")
+
+
+# Padded (frame, prediction, ground truth) cells in one block of frames
+# that the rank steps run over: bounds the steps' arrays, so memory does
+# not grow with the split.
+_BLOCK_CELLS = 1 << 15
+
+
+def _frame_blocks(n_rows: np.ndarray, n_cols: np.ndarray) -> list[np.ndarray]:
+    """The frames that hold predictions, in blocks to be padded to one
+    shape: the block's largest prediction and ground-truth counts.
+
+    Frames are taken by descending prediction count, then ground-truth
+    count, and a block is closed before a frame that would pad it past
+    ``_BLOCK_CELLS`` cells. A crowded frame so pads only the few frames
+    that fill its block, and a frame larger than the cap is a block of
+    its own.
+    """
+    order = np.lexsort((-n_cols, -n_rows))
+    blocks: list[list[int]] = []
+    height = width = 0
+    for f, rows, cols in zip(order.tolist(), n_rows[order].tolist(),
+                             np.maximum(n_cols[order], 1).tolist()):
+        if rows == 0:
+            break
+        if not blocks or (len(blocks[-1]) + 1) * height * max(width, cols) > _BLOCK_CELLS:
+            blocks.append([])
+            height, width = rows, 0
+        blocks[-1].append(f)
+        width = max(width, cols)
+    return [np.array(b) for b in blocks]
+
+
+def _rank_steps(grid: np.ndarray, tiers: np.ndarray, passes: np.ndarray
+                ) -> tuple[np.ndarray, ...]:
+    """Greedy matching of a block of frames under every pass at once.
+
+    ``grid`` is ``(2, F, P, G)``: each frame's overlap matrix with rows in
+    visit order, padded with -inf, which neither matches nor makes a
+    prediction ignored. ``tiers`` is ``(F, G)``. ``passes`` holds one
+    (tier, metric plane, threshold) row per pass. Step ``r`` visits every
+    frame's rank-``r`` prediction under every pass: out of the pass's tier
+    and the columns taken so far, it takes the first column of highest
+    overlap, which is a match where it reaches the threshold. An unmatched
+    prediction is ignored where an out-of-tier column reaches it.
+
+    Returns, per (pass, frame, rank), the matched column or -1 and the
+    ignored flag; and per (pass, frame), the rank and column of the first
+    NaN that visiting the columns in the scalar order would read (the
+    pass's free tier columns, then its out-of-tier ones up to the first
+    that reaches the threshold), with rank P where none is read.
+    """
+    n_ranks = grid.shape[2]
+    rows = grid[passes[:, 1].astype(np.intp)]
+    threshold = passes[:, 2, None]
+    free = tiers <= passes[:, 0, None, None]
+    out_of_tier = ~free[:, :, None, :]
+    reaches = (rows >= threshold[..., None, None]) & out_of_tier
+    matched = np.full(rows.shape[:3], -1)
+    nan_rank = np.full(rows.shape[:2], n_ranks)
+    nan_col = np.zeros(rows.shape[:2], dtype=int)
+    any_nan = bool(np.isnan(grid).any())
+    for r in range(n_ranks):
+        row = rows[:, :, r]
+        candidates = np.where(free, row, -np.inf)
+        col = candidates.argmax(axis=2)
+        hit = np.take_along_axis(candidates, col[..., None], axis=2)[..., 0] >= threshold
+        if any_nan:
+            nan = np.isnan(row)
+            tier_nan = nan & free
+            ignored_nan = (nan & ~np.logical_or.accumulate(reaches[:, :, r], axis=2)
+                           & out_of_tier[:, :, 0] & ~hit[..., None])
+            read = np.where(tier_nan.any(axis=2, keepdims=True), tier_nan, ignored_nan)
+            first = read.any(axis=2) & (nan_rank == n_ranks)
+            nan_rank[first] = r
+            nan_col[first] = read.argmax(axis=2)[first]
+        p, f = np.nonzero(hit)
+        free[p, f, col[p, f]] = False
+        matched[:, :, r] = np.where(hit, col, -1)
+    ignored = (matched < 0) & reaches.any(axis=3)
+    return matched, ignored, nan_rank, nan_col
+
+
+def _match_passes(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray,
+                  tiers: np.ndarray, passes: Sequence[tuple[int, int, float]]
+                  ) -> tuple[np.ndarray, np.ndarray, Optional[tuple[int, int, int]]]:
+    """Greedy matching of a split under every pass, as rank steps over
+    padded blocks of frames (:func:`_frame_blocks`, :func:`_rank_steps`).
+
+    ``values`` holds the frames' ``(2, n_rows, n_cols)`` overlap matrices,
+    rows in visit order, each flattened row-major, end to end; ``tiers``
+    the frames' ground-truth tiers, end to end. A pass (tier, metric
+    plane, threshold) matches the ground truths of its tier and easier;
+    the rest are its out-of-tier columns.
+
+    Returns, per pass and prediction (frame by frame, in visit order), the
+    matched ground truth's column in its frame or -1, and whether an
+    unmatched prediction is ignored; and the first NaN pair the scalar
+    greedy match would read, in pass, frame and visit order, as (pass,
+    prediction, column), or None.
+    """
+    pass_rows = np.array(passes, dtype=float).reshape(-1, 3)
+    row_start = np.cumsum(n_rows) - n_rows
+    col_start = np.cumsum(n_cols) - n_cols
+    pair_start = np.cumsum(n_rows * n_cols) - n_rows * n_cols
+    matched = np.full((len(pass_rows), int(n_rows.sum())), -1)
+    ignored = np.zeros(matched.shape, dtype=bool)
+    nan_reads = []
+    for block in _frame_blocks(n_rows, n_cols):
+        rows, cols = n_rows[block], n_cols[block]
+        grid = np.full((2, len(block), int(rows.max()), max(1, int(cols.max()))), -np.inf)
+        frame, local = _segments(rows * cols)
+        grid[:, frame, local // cols[frame], local % cols[frame]] = \
+            values[:, pair_start[block][frame] + local]
+        block_tiers = np.zeros((len(block), grid.shape[3]), dtype=int)
+        frame, local = _segments(cols)
+        block_tiers[frame, local] = tiers[col_start[block][frame] + local]
+        block_matched, block_ignored, nan_rank, nan_col = _rank_steps(grid, block_tiers,
+                                                                      pass_rows)
+        frame, rank = _segments(rows)
+        matched[:, row_start[block][frame] + rank] = block_matched[:, frame, rank]
+        ignored[:, row_start[block][frame] + rank] = block_ignored[:, frame, rank]
+        p, f = np.nonzero(nan_rank < grid.shape[2])
+        nan_reads += zip(p.tolist(), (row_start[block][f] + nan_rank[p, f]).tolist(),
+                         nan_col[p, f].tolist())
+    return matched, ignored, min(nan_reads, default=None)
+
+
+def _degenerate(frame: str, prediction: int, ground_truth: int, k: int) -> ValueError:
+    return ValueError(f"frame {frame!r}, prediction {prediction} and "
+                      f"ground truth {ground_truth}: {_DEGENERATE[k]}")
+
+
 def match_frame(preds: Sequence[ObjectAnnotation], gts: Sequence[ObjectAnnotation],
                 iou_threshold: float, metric: str = "3d", frame: str = "",
                 ignored_gts: Sequence[ObjectAnnotation] = ()) -> MatchResult:
     """Greedily assign predictions to ground truths within one frame.
 
-    Predictions are visited in descending score order; each takes the
-    highest-overlap still-unmatched ground truth at or above the
-    threshold. Callers filter ``gts`` beforehand (class, difficulty);
-    excluded objects neither match nor count as misses. A prediction left
-    unmatched that overlaps an ``ignored_gts`` entry at the threshold is
-    dropped from scoring entirely (not a false positive), mirroring the
-    benchmark treatment of detections on out-of-tier objects.
+    Predictions are visited in descending score order, then by index;
+    each takes the highest-overlap still-unmatched ground truth at or
+    above the threshold, the first of equal ones. Callers filter ``gts``
+    beforehand (class, difficulty); excluded objects neither match nor
+    count as misses. A prediction left unmatched that overlaps an
+    ``ignored_gts`` entry at the threshold is dropped from scoring
+    entirely (not a false positive), mirroring the benchmark treatment of
+    detections on out-of-tier objects. This is one frame and one pass of
+    the split's matching kernel. Reading a pair that is degenerate in
+    both boxes raises, naming the prediction's index and the ground
+    truth's index in ``[*gts, *ignored_gts]``.
     """
-    all_gts = [*gts, *ignored_gts]
-    overlaps = frame_overlaps(preds, all_gts)
-    positions = (range(len(preds)), range(len(all_gts)))
-    return _greedy_match(overlaps, *_frame_scores(preds, frame, positions[0]),
-                         range(len(gts)), range(len(gts), len(all_gts)),
-                         iou_threshold, metric, frame, positions)
-
-
-def _frame_scores(preds: Sequence[ObjectAnnotation], frame: str,
-                  positions: Sequence[int]) -> tuple[list[float], list[int]]:
-    """The predictions' scores and their visiting order, by descending
-    score and then index; a missing score raises, naming the frame and
-    the prediction's position in it."""
-    for p, position in zip(preds, positions):
-        if p.score is None:
-            raise ValueError(f"frame {frame!r}, prediction {position}: no score")
-    scores = [p.score for p in preds]
-    return scores, sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-
-
-def _greedy_match(overlaps: np.ndarray, scores: list[float], pred_order: Sequence[int],
-                  gt_cols: Sequence[int], ignored_cols: Sequence[int],
-                  iou_threshold: float, metric: str, frame: str,
-                  positions: tuple[Sequence[int], Sequence[int]]) -> MatchResult:
-    """:func:`match_frame` over columns of a frame's :func:`frame_overlaps`.
-
-    Rows are visited in ``pred_order``, as :func:`_frame_scores` gives
-    it, and the result shares ``scores``. ``gt_cols`` and
-    ``ignored_cols`` index the matrix's ground truths; the result's
-    ground-truth indices are positions in ``gt_cols``. Reading a NaN pair
-    raises, naming the frame and the pair's ``positions`` (row's,
-    column's) among the frame's objects, counted from 0.
-    """
+    check_thresholds((iou_threshold,))
     if metric not in _METRICS:
         raise ValueError(f"metric must be '3d' or 'bev', got {metric!r}")
     k = _METRICS[metric]
-    rows = overlaps[k].tolist()
-
-    def degenerate(i: int, col: int) -> ValueError:
-        return ValueError(f"frame {frame!r}, prediction {positions[0][i]} and "
-                          f"ground truth {positions[1][col]}: {_DEGENERATE[k]}")
-
-    gt_taken = [False] * len(gt_cols)
-    pairs = []
-    unmatched_preds = []
-    ignored_preds = []
-    for i in pred_order:
-        row = rows[i]
-        best_j, best_iou = -1, 0.0
-        for j, col in enumerate(gt_cols):
-            if gt_taken[j]:
-                continue
-            v = row[col]
-            if v >= iou_threshold and v > best_iou:
-                best_j, best_iou = j, v
-            elif math.isnan(v):
-                raise degenerate(i, col)
-        if best_j >= 0:
-            gt_taken[best_j] = True
-            pairs.append((i, best_j, best_iou))
-            continue
-        for col in ignored_cols:
-            v = row[col]
-            if v >= iou_threshold:
-                ignored_preds.append(i)
-                break
-            if math.isnan(v):
-                raise degenerate(i, col)
-        else:
-            unmatched_preds.append(i)
-    unmatched_gts = [j for j, taken in enumerate(gt_taken) if not taken]
-    return MatchResult(frame_id=frame, pairs=pairs,
-                       unmatched_pred_indices=sorted(unmatched_preds),
-                       unmatched_gt_indices=unmatched_gts,
-                       pred_scores=scores,
-                       ignored_pred_indices=sorted(ignored_preds))
+    scores = [p.score for p in preds]
+    if None in scores:
+        raise ValueError(f"frame {frame!r}, prediction {scores.index(None)}: no score")
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    all_gts = [*gts, *ignored_gts]
+    overlaps = frame_overlaps([preds[i] for i in order], all_gts)
+    matched, ignored, nan_read = _match_passes(
+        overlaps.reshape(2, -1), np.array([len(preds)]), np.array([len(all_gts)]),
+        np.array([0] * len(gts) + [1] * len(ignored_gts), dtype=int), [(0, k, iou_threshold)])
+    if nan_read is not None:
+        _, rank, col = nan_read
+        raise _degenerate(frame, order[rank], col, k)
+    pairs = [(order[r], j, float(overlaps[k, r, j]))
+             for r, j in enumerate(matched[0].tolist()) if j >= 0]
+    taken = {j for _, j, _ in pairs}
+    return MatchResult(
+        frame_id=frame, pairs=pairs,
+        unmatched_pred_indices=sorted(order[r] for r, j in enumerate(matched[0].tolist())
+                                      if j < 0 and not ignored[0, r]),
+        unmatched_gt_indices=[j for j in range(len(gts)) if j not in taken],
+        pred_scores=scores,
+        ignored_pred_indices=sorted(order[r] for r in np.flatnonzero(ignored[0]).tolist()))
 
 
 def _recall_grid(mode: str) -> list[float]:
@@ -446,41 +582,52 @@ def _recall_grid(mode: str) -> list[float]:
     raise ValueError(f"ap mode must be '11' or '40', got {mode!r}")
 
 
-def average_precision(all_matches: Iterable[MatchResult], n_gt: int,
-                      mode: str = "11") -> PrecisionRecallCurve:
-    """Score-sorted precision/recall sweep with interpolated AP.
+def _curve(is_tp: np.ndarray, n_gt: int, mode: str) -> PrecisionRecallCurve:
+    """The precision/recall sweep and interpolated AP of scored
+    predictions, ``is_tp`` in descending score order.
 
     The precision at each grid recall is the maximum precision attained
     at that recall or above. A curve with at least one true positive
     starts at the conventional (recall 0, precision 1) anchor; with none
     the AP is 0.
     """
+    tp = np.cumsum(is_tp, dtype=np.int64)
+    # Integer counts divided as float64, as Python divides the same ints.
+    recall = tp / n_gt
+    precision = tp / np.arange(1, len(tp) + 1)
+    points = list(zip(recall.tolist(), precision.tolist()))
+    if not len(tp) or tp[-1] == 0:
+        return PrecisionRecallCurve(points=points, ap=0.0)
+    # Recall never decreases along the curve, anchor included, so the
+    # points at or above a level are a suffix: one reverse running max
+    # gives every suffix's maximum, and the trailing 0.0 stands for the
+    # empty suffix. The first point at or above a level is its
+    # searchsorted (bisect_left) position.
+    envelope = np.maximum.accumulate(np.append(precision[::-1], 1.0))[::-1]
+    interpolated = np.append(envelope, 0.0)[
+        np.searchsorted(np.append(0.0, recall), _recall_grid(mode))].tolist()
+    ap = sum(interpolated) / len(interpolated)
+    return PrecisionRecallCurve(points=[(0.0, 1.0)] + points, ap=ap)
+
+
+def average_precision(all_matches: Iterable[MatchResult], n_gt: int,
+                      mode: str = "11") -> PrecisionRecallCurve:
+    """Score-sorted precision/recall sweep with interpolated AP over
+    per-frame match results: one pass of the split's AP kernel.
+
+    Matched and unmatched predictions are scored, ignored ones are not;
+    they are sorted by descending score, then frame id, then index.
+    """
     if n_gt < 1:
         raise ValueError("average precision needs at least one ground truth")
-    events = []  # (score, frame, pred index, is_tp)
-    for m in all_matches:
-        for i, _, _ in m.pairs:
-            events.append((m.pred_scores[i], m.frame_id, i, True))
-        for i in m.unmatched_pred_indices:
-            events.append((m.pred_scores[i], m.frame_id, i, False))
-    events.sort(key=lambda e: (-e[0], e[1], e[2]))
-
-    tp = 0
-    points = []
-    for n_scored, (_, _, _, is_tp) in enumerate(events, start=1):
-        tp += is_tp
-        points.append((tp / n_gt, tp / n_scored))
-    if tp == 0:
-        return PrecisionRecallCurve(points=points, ap=0.0)
-    curve = [(0.0, 1.0)] + points
-    # Recall never decreases along the curve, so the points at or above a
-    # level are a suffix: one reverse running max gives every suffix's
-    # maximum, and the trailing 0.0 stands for the empty suffix.
-    recalls, precisions = zip(*curve)
-    envelope = [*accumulate(reversed(precisions), max)][::-1] + [0.0]
-    interpolated = [envelope[bisect_left(recalls, level)] for level in _recall_grid(mode)]
-    ap = sum(interpolated) / len(interpolated)
-    return PrecisionRecallCurve(points=curve, ap=ap)
+    matches = list(all_matches)
+    frame_rank = {f: k for k, f in enumerate(sorted({m.frame_id for m in matches}))}
+    events = [(m.pred_scores[i], frame_rank[m.frame_id], i, is_tp) for m in matches
+              for indices, is_tp in (([i for i, _, _ in m.pairs], True),
+                                     (m.unmatched_pred_indices, False))
+              for i in indices]
+    score, frame, index, is_tp = np.array(events, dtype=float).reshape(-1, 4).T
+    return _curve(is_tp[np.lexsort((index, frame, -score))] > 0, n_gt, mode)
 
 
 def localization_report(pred_centers: np.ndarray,
@@ -523,15 +670,20 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     """Full split evaluation: AP tables per metric/difficulty/threshold
     plus a localization report over matched pairs.
 
+    Every (tier, metric, threshold) pass is matched by one call of the
+    split's kernel (:func:`_match_passes`), and the scored predictions
+    are sorted once for every pass's AP. A NaN pair read raises for the
+    first pass, frame and visit rank that reads one, as the scalar greedy
+    match would.
+
     Localization pairs come from 3D matching at the lowest threshold with
     the most inclusive difficulty filter: they are read from the hard
     tier's pass, since ignored columns never change a pass's pairs. A
-    matched ground truth whose
-    depth is not positive raises, naming the frame and the ground truth's
-    position among the frame's objects.
+    matched ground truth whose depth is not positive raises, naming the
+    frame and the ground truth's position among the frame's objects.
     """
+    check_thresholds(thresholds)
     frames = sorted(gts_by_frame)
-    difficulties = [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD]
     report: dict = {
         "class": class_name,
         "frames": len(frames),
@@ -541,65 +693,84 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
         "pr_curves": {},
     }
 
-    # Per frame, the positions of the class's predictions and ground truths
-    # among all of the frame's objects.
-    positions = {f: ([k for k, p in enumerate(preds_by_frame.get(f, []))
-                      if p.class_name == class_name],
-                     [k for k, g in enumerate(gts_by_frame[f])
-                      if g.class_name == class_name]) for f in frames}
-    class_preds = {f: [preds_by_frame[f][k] for k in positions[f][0]] for f in frames}
-    class_gts = {f: [gts_by_frame[f][k] for k in positions[f][1]] for f in frames}
-    scores = {f: _frame_scores(class_preds[f], f, positions[f][0]) for f in frames}
-    overlaps = dict(zip(frames, _overlap_matrices(
-        [([annotation_box3d(p) for p in class_preds[f]],
-          [annotation_box3d(g) for g in class_gts[f]]) for f in frames])))
-    gt_tiers = {f: [assign_difficulty(g) for g in class_gts[f]] for f in frames}
-    loc_threshold = min(thresholds)
-    loc_matches = []
+    def of_class(objects_by_frame: dict[str, list[ObjectAnnotation]]):
+        """The class's objects, frame by frame; each one's position among
+        its frame's objects; and each frame's count."""
+        found = [[(k, a) for k, a in enumerate(objects_by_frame.get(f, []))
+                  if a.class_name == class_name] for f in frames]
+        return ([a for objects in found for _, a in objects],
+                [k for objects in found for k, _ in objects],
+                np.array([len(objects) for objects in found], dtype=int))
+
+    preds, pred_positions, n_rows = of_class(preds_by_frame)
+    gts, gt_positions, n_cols = of_class(gts_by_frame)
+    pred_frame = np.repeat(np.arange(len(frames)), n_rows)
+    gt_start = np.cumsum(n_cols) - n_cols
+    scores = [p.score for p in preds]
+    if None in scores:
+        e = scores.index(None)
+        raise ValueError(f"frame {frames[pred_frame[e]]!r}, prediction {pred_positions[e]}: "
+                         "no score")
+    # Visit order: by frame, then descending score, then index (lexsort is stable).
+    visit = np.lexsort((-np.array(scores, dtype=float), pred_frame))
+    tiers = np.array([assign_difficulty(g) for g in gts], dtype=int)
+    values = _pair_overlaps(_annotation_stack([preds[e] for e in visit.tolist()]),
+                            _annotation_stack(gts), n_rows, n_cols)
+
+    difficulties = [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD]
+    n_gts = {d: int((tiers <= d).sum()) for d in difficulties}
+    passes = [(int(d), _METRICS[metric], thr) for d in difficulties if n_gts[d]
+              for metric in _METRICS for thr in thresholds]
+    matched, ignored, nan_read = _match_passes(values, n_rows, n_cols, tiers, passes)
+    if nan_read is not None:
+        p, e, col = nan_read
+        f = pred_frame[visit[e]]
+        raise _degenerate(frames[f], pred_positions[visit[e]],
+                          gt_positions[gt_start[f] + col], passes[p][1])
+
+    # One sort scores every pass: entries are frame by frame in visit
+    # order, so a stable sort by descending score orders them by (score,
+    # frame, index) as well.
+    by_score = np.argsort(-np.array(scores, dtype=float)[visit], kind="stable")
+    is_tp = (matched >= 0)[:, by_score]
+    scored = ~ignored[:, by_score]
+    curves = iter(_curve(is_tp[p][scored[p]], n_gts[d], ap_mode)
+                  for p, (d, _, _) in enumerate(passes))
     for difficulty in difficulties:
         name = difficulty.name.lower()
-        # Disjoint, order-preserving column subsets: the tier's ground
-        # truths (as filter_by_difficulty selects them) and the rest.
-        filtered = {f: [j for j, t in enumerate(gt_tiers[f]) if t <= difficulty]
-                    for f in frames}
-        ignored = {f: [j for j, t in enumerate(gt_tiers[f]) if t > difficulty]
-                   for f in frames}
-        n_gt = sum(len(v) for v in filtered.values())
-        report["n_gt"][name] = n_gt
+        report["n_gt"][name] = n_gts[difficulty]
         for metric, key in (("3d", "ap_3d"), ("bev", "ap_bev")):
             report[key][name] = {}
             for thr in thresholds:
-                if n_gt == 0:
+                if not n_gts[difficulty]:
                     report[key][name][f"{thr:g}"] = None
                     continue
-                matches = [_greedy_match(overlaps[f], *scores[f], filtered[f], ignored[f],
-                                         thr, metric, f, positions[f]) for f in frames]
-                if difficulty == Difficulty.HARD and metric == "3d" and thr == loc_threshold:
-                    loc_matches = [(f, m, filtered[f]) for f, m in zip(frames, matches)]
-                curve = average_precision(matches, n_gt, mode=ap_mode)
+                curve = next(curves)
                 report[key][name][f"{thr:g}"] = curve.ap
                 report["pr_curves"][f"{metric}_{name}_{thr:g}"] = curve.points
 
-    pred_centers = []
-    gt_centers = []
-    for f, match, loc_cols in loc_matches:
-        for i, j, _ in match.pairs:
-            gt = class_gts[f][loc_cols[j]]
-            if gt.location[2] <= 0:
-                raise ValueError(f"frame {f!r}, ground truth {positions[f][1][loc_cols[j]]}: "
-                                 f"depth {gt.location[2]:g} is not positive")
-            pred_centers.append(class_preds[f][i].location)
-            gt_centers.append(gt.location)
-    if pred_centers:
-        loc = localization_report(np.array(pred_centers), np.array(gt_centers))
-        report["localization"] = {
-            "iou_threshold": loc_threshold,
-            "count": loc.count,
-            "ra_u": loc.ra_u,
-            "ra_v": loc.ra_v,
-            "ra_z": loc.ra_z,
-            "depth_bins": [asdict(b) for b in loc.depth_bins],
-        }
-    else:
-        report["localization"] = None
+    loc_threshold = min(thresholds)
+    report["localization"] = None
+    if not n_gts[Difficulty.HARD]:
+        return report
+    loc = matched[passes.index((int(Difficulty.HARD), _METRICS["3d"], loc_threshold))]
+    entries = np.flatnonzero(loc >= 0)
+    if not len(entries):
+        return report
+    pred_index = visit[entries]
+    gt_index = gt_start[pred_frame[pred_index]] + loc[entries]
+    for e, g in zip(pred_index.tolist(), gt_index.tolist()):
+        if gts[g].location[2] <= 0:
+            raise ValueError(f"frame {frames[pred_frame[e]]!r}, ground truth "
+                             f"{gt_positions[g]}: depth {gts[g].location[2]:g} is not positive")
+    loc = localization_report(np.array([preds[e].location for e in pred_index.tolist()]),
+                              np.array([gts[g].location for g in gt_index.tolist()]))
+    report["localization"] = {
+        "iou_threshold": loc_threshold,
+        "count": loc.count,
+        "ra_u": loc.ra_u,
+        "ra_v": loc.ra_v,
+        "ra_z": loc.ra_z,
+        "depth_bins": [asdict(b) for b in loc.depth_bins],
+    }
     return report

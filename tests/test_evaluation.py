@@ -763,17 +763,448 @@ class TestSharedOverlaps:
 
     @pytest.mark.parametrize("thresholds", [(0.3, 0.5, 0.7), (0.7, 0.1, 0.25, 0.5)])
     def test_one_match_per_frame_tier_metric_and_threshold(self, monkeypatch, thresholds):
-        # Localization reads the hard tier's 3D pass at the lowest
-        # threshold; it runs no pass of its own.
+        # One call of the matching kernel runs every (tier, metric,
+        # threshold) pass over every frame. Localization reads the hard
+        # tier's 3D pass at the lowest threshold; it runs no pass of its own.
         gts, preds = random_split(6)
-        expected = reference_report(gts, preds, thresholds)
-        greedy_match = evaluation._greedy_match
-        calls = []
+        report, calls = kernel_evaluate(monkeypatch, gts, preds, thresholds)
+        assert report == oracle_evaluate(gts, preds, thresholds)[0]
+        assert len(calls) == 1
+        (_, n_rows, _, _, passes), (matched, _, _) = calls[0]
+        assert len(passes) == 3 * 2 * len(thresholds)
+        assert matched.shape == (len(passes), sum(n_rows)) and len(n_rows) == len(gts)
 
-        def counting_match(*args):
-            calls.append(args)
-            return greedy_match(*args)
 
-        monkeypatch.setattr(evaluation, "_greedy_match", counting_match)
-        assert evaluate_frames(gts, preds, thresholds=thresholds) == expected
-        assert len(calls) == len(gts) * 3 * 2 * len(thresholds)
+def reference_frame_scores(preds, frame, positions):
+    """Oracle for the visiting order: the predictions' scores and their
+    order by descending score, then index; a missing score raises, naming
+    the frame and the prediction's position in it."""
+    for p, position in zip(preds, positions):
+        if p.score is None:
+            raise ValueError(f"frame {frame!r}, prediction {position}: no score")
+    scores = [p.score for p in preds]
+    return scores, sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+def reference_greedy_match(overlaps, scores, pred_order, gt_cols, ignored_cols,
+                           iou_threshold, metric, frame, positions):
+    """Oracle for the matching kernel: the scalar greedy match of one frame
+    and pass over columns of the frame's overlap matrix, rows visited in
+    ``pred_order``. Ground-truth indices in the result are positions in
+    ``gt_cols``. Reading a NaN pair raises, naming the frame and the
+    pair's ``positions`` (row's, column's) among the frame's objects."""
+    k = evaluation._METRICS[metric]
+    rows = overlaps[k].tolist()
+
+    def degenerate(i, col):
+        return ValueError(f"frame {frame!r}, prediction {positions[0][i]} and "
+                          f"ground truth {positions[1][col]}: "
+                          f"{evaluation._DEGENERATE[k]}")
+
+    gt_taken = [False] * len(gt_cols)
+    pairs, unmatched_preds, ignored_preds = [], [], []
+    for i in pred_order:
+        row = rows[i]
+        best_j, best_iou = -1, 0.0
+        for j, col in enumerate(gt_cols):
+            if gt_taken[j]:
+                continue
+            v = row[col]
+            if v >= iou_threshold and v > best_iou:
+                best_j, best_iou = j, v
+            elif math.isnan(v):
+                raise degenerate(i, col)
+        if best_j >= 0:
+            gt_taken[best_j] = True
+            pairs.append((i, best_j, best_iou))
+            continue
+        for col in ignored_cols:
+            v = row[col]
+            if v >= iou_threshold:
+                ignored_preds.append(i)
+                break
+            if math.isnan(v):
+                raise degenerate(i, col)
+        else:
+            unmatched_preds.append(i)
+    return MatchResult(frame_id=frame, pairs=pairs,
+                       unmatched_pred_indices=sorted(unmatched_preds),
+                       unmatched_gt_indices=[j for j, t in enumerate(gt_taken) if not t],
+                       pred_scores=scores, ignored_pred_indices=sorted(ignored_preds))
+
+
+def reference_average_precision(all_matches, n_gt, mode="11"):
+    """Oracle for the AP kernel: one Python event list sorted by
+    (-score, frame, index), then the envelope over the point list."""
+    events = []
+    for m in all_matches:
+        events += [(m.pred_scores[i], m.frame_id, i, True) for i, _, _ in m.pairs]
+        events += [(m.pred_scores[i], m.frame_id, i, False) for i in m.unmatched_pred_indices]
+    events.sort(key=lambda e: (-e[0], e[1], e[2]))
+    tp, points = 0, []
+    for n_scored, event in enumerate(events, start=1):
+        tp += event[3]
+        points.append((tp / n_gt, tp / n_scored))
+    if tp == 0:
+        return evaluation.PrecisionRecallCurve(points=points, ap=0.0)
+    curve = [(0.0, 1.0)] + points
+    recalls = [r for r, _ in curve]
+    grid = [k / 10.0 for k in range(11)] if mode == "11" else [k / 40.0 for k in range(1, 41)]
+    interpolated = []
+    for level in grid:
+        first = next((n for n, r in enumerate(recalls) if r >= level), len(curve))
+        interpolated.append(max((p for _, p in curve[first:]), default=0.0))
+    return evaluation.PrecisionRecallCurve(points=curve, ap=sum(interpolated) / len(interpolated))
+
+
+def oracle_evaluate(gts_by_frame, preds_by_frame, thresholds, ap_mode="11", overlaps=None):
+    """The scalar split evaluation: one reference_greedy_match per frame
+    and pass, in pass, then frame order, and one reference AP per pass.
+    ``overlaps`` replaces the frames' class overlap matrices. Returns the
+    report and, per pass, its (tier, metric plane, threshold) and each
+    frame's (match, visiting order, tier columns)."""
+    frames = sorted(gts_by_frame)
+    report = {"class": "Car", "frames": len(frames), "n_gt": {}, "ap_3d": {},
+              "ap_bev": {}, "pr_curves": {}}
+    positions = {f: ([k for k, p in enumerate(preds_by_frame.get(f, []))
+                      if p.class_name == "Car"],
+                     [k for k, g in enumerate(gts_by_frame[f]) if g.class_name == "Car"])
+                 for f in frames}
+    class_preds = {f: [preds_by_frame[f][k] for k in positions[f][0]] for f in frames}
+    class_gts = {f: [gts_by_frame[f][k] for k in positions[f][1]] for f in frames}
+    scores = {f: reference_frame_scores(class_preds[f], f, positions[f][0]) for f in frames}
+    if overlaps is None:
+        overlaps = {f: evaluation.frame_overlaps(class_preds[f], class_gts[f]) for f in frames}
+    tiers = {f: [assign_difficulty(g) for g in class_gts[f]] for f in frames}
+    passes, loc_matches = [], []
+    for difficulty in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
+        name = difficulty.name.lower()
+        filtered = {f: [j for j, t in enumerate(tiers[f]) if t <= difficulty] for f in frames}
+        ignored = {f: [j for j, t in enumerate(tiers[f]) if t > difficulty] for f in frames}
+        n_gt = sum(len(v) for v in filtered.values())
+        report["n_gt"][name] = n_gt
+        for metric, key in (("3d", "ap_3d"), ("bev", "ap_bev")):
+            report[key][name] = {}
+            for thr in thresholds:
+                if n_gt == 0:
+                    report[key][name][f"{thr:g}"] = None
+                    continue
+                matches = [reference_greedy_match(overlaps[f], *scores[f], filtered[f],
+                                                  ignored[f], thr, metric, f, positions[f])
+                           for f in frames]
+                passes.append(((int(difficulty), evaluation._METRICS[metric], thr),
+                               {f: (m, scores[f][1], filtered[f])
+                                for f, m in zip(frames, matches)}))
+                if difficulty == Difficulty.HARD and metric == "3d" and thr == min(thresholds):
+                    loc_matches = [(f, m, filtered[f]) for f, m in zip(frames, matches)]
+                curve = reference_average_precision(matches, n_gt, mode=ap_mode)
+                report[key][name][f"{thr:g}"] = curve.ap
+                report["pr_curves"][f"{metric}_{name}_{thr:g}"] = curve.points
+    pred_centers, gt_centers = [], []
+    for f, match, cols in loc_matches:
+        for i, j, _ in match.pairs:
+            gt = class_gts[f][cols[j]]
+            if gt.location[2] <= 0:
+                raise ValueError(f"frame {f!r}, ground truth {positions[f][1][cols[j]]}: "
+                                 f"depth {gt.location[2]:g} is not positive")
+            pred_centers.append(class_preds[f][i].location)
+            gt_centers.append(gt.location)
+    report["localization"] = None
+    if pred_centers:
+        loc = localization_report(np.array(pred_centers), np.array(gt_centers))
+        report["localization"] = {
+            "iou_threshold": min(thresholds), "count": loc.count,
+            "ra_u": loc.ra_u, "ra_v": loc.ra_v, "ra_z": loc.ra_z,
+            "depth_bins": [dataclasses.asdict(b) for b in loc.depth_bins]}
+    return report, passes
+
+
+def kernel_evaluate(monkeypatch, gts, preds, thresholds, ap_mode="11"):
+    """evaluate_frames, with the arguments and results of each call of its
+    matching kernel."""
+    calls = []
+    kernel = evaluation._match_passes
+
+    def spy(*args):
+        calls.append((args, kernel(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(evaluation, "_match_passes", spy)
+    return evaluate_frames(gts, preds, thresholds=thresholds, ap_mode=ap_mode), calls
+
+
+def outcomes(match, order, cols):
+    """A scalar match's (status, matched column) per visit rank."""
+    tp = {i: cols[j] for i, j, _ in match.pairs}
+    return [("tp", tp[i]) if i in tp else
+            ("ignored", -1) if i in match.ignored_pred_indices else ("fp", -1) for i in order]
+
+
+def assert_kernel_equals_oracle(monkeypatch, gts, preds, thresholds, ap_mode="11",
+                                overlaps=None):
+    """The kernel's report and per-(pass, frame, rank) outcomes equal the
+    oracle's. ``overlaps``, if given, replaces the split's overlaps on
+    both sides; its frames' predictions must be visited in file order."""
+    expected, oracle_passes = oracle_evaluate(gts, preds, thresholds, ap_mode, overlaps)
+    if overlaps is not None:
+        flat = np.concatenate([overlaps[f].reshape(2, -1) for f in sorted(gts)], axis=1)
+        monkeypatch.setattr(evaluation, "_pair_overlaps", lambda *args: flat)
+    report, calls = kernel_evaluate(monkeypatch, gts, preds, thresholds, ap_mode)
+    assert report == expected
+    assert len(calls) == 1
+    (_, n_rows, _, _, passes), (matched, ignored, nan_read) = calls[0]
+    assert nan_read is None
+    assert [key for key, _ in oracle_passes] == passes
+    frames = sorted(gts)
+    starts = np.cumsum(n_rows) - n_rows
+    for p, (_, per_frame) in enumerate(oracle_passes):
+        for f, start, n in zip(frames, starts.tolist(), n_rows.tolist()):
+            got = [("tp", c) if c >= 0 else ("ignored", -1) if skip else ("fp", -1)
+                   for c, skip in zip(matched[p, start:start + n].tolist(),
+                                      ignored[p, start:start + n].tolist())]
+            assert got == outcomes(*per_frame[f]), (p, f)
+    return report
+
+
+def tiered_car(tier, **kwargs):
+    """A Car ground truth of a given difficulty tier."""
+    height_px, truncation, occlusion = {
+        Difficulty.EASY: (60.0, 0.0, 0), Difficulty.MODERATE: (30.0, 0.2, 1),
+        Difficulty.HARD: (30.0, 0.4, 2), Difficulty.IGNORED: (20.0, 0.0, 0)}[tier]
+    car = make_car(height_px=height_px, truncation=truncation, occlusion=occlusion, **kwargs)
+    assert assign_difficulty(car) == tier
+    return car
+
+
+def edge_split(seed):
+    """random_split plus a frame without predictions, one without Car
+    ground truth, and one whose only Car ground truths are out of every
+    tier."""
+    gts, preds = random_split(seed)
+    gts["000100"] = [tiered_car(Difficulty.EASY, x=2.0)]
+    preds["000100"] = []
+    gts["000101"] = [make_car(class_name="Pedestrian", dims=(1.76, 0.6, 0.75))]
+    preds["000101"] = [make_car(x=0.3, score=0.6), make_car(x=-4.0, score=0.6)]
+    gts["000102"] = [tiered_car(Difficulty.IGNORED, x=1.0), tiered_car(Difficulty.IGNORED, x=9.0)]
+    preds["000102"] = [make_car(x=1.2, score=0.9), make_car(x=9.0, score=0.3),
+                       make_car(x=-9.0, score=0.9)]
+    return gts, preds
+
+
+@pytest.fixture(scope="module")
+def synthetic_500(tmp_path_factory):
+    """The 500-frame `make_synthetic_kitti.py --seed 0` corpus, parsed."""
+    import runpy
+    import sys
+    from pathlib import Path
+
+    from mono3d.kitti_io import parse_label_file
+    root = tmp_path_factory.mktemp("synthetic") / "corpus"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_kitti.py"
+    argv = sys.argv
+    sys.argv = [script.name, "--frames", "500", "--seed", "0", "--out", str(root)]
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+    finally:
+        sys.argv = argv
+    frames = (root / "split.txt").read_text().split()
+    return ({f: parse_label_file((root / "label_2" / f"{f}.txt").read_text()) for f in frames},
+            {f: parse_label_file((root / "pred" / f"{f}.txt").read_text()) for f in frames})
+
+
+WIDE = (0.7, 0.1, 0.25, 0.5)
+
+
+class TestMatchingKernel:
+    """The split's matching kernel equals the scalar greedy match on every
+    (pass, frame, rank): status and matched column; and the report equals
+    the scalar evaluation's."""
+
+    @pytest.mark.parametrize("ap_mode", ["11", "40"])
+    @pytest.mark.parametrize("thresholds", [(0.3, 0.5, 0.7), WIDE])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_splits(self, monkeypatch, seed, thresholds, ap_mode):
+        assert_kernel_equals_oracle(monkeypatch, *random_split(seed, n_frames=12),
+                                    thresholds, ap_mode)
+
+    @pytest.mark.parametrize("ap_mode", ["11", "40"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_empty_and_out_of_tier_frames(self, monkeypatch, seed, ap_mode):
+        report = assert_kernel_equals_oracle(monkeypatch, *edge_split(seed), WIDE, ap_mode)
+        assert report["frames"] == 9
+
+    @pytest.mark.parametrize("thresholds,ap_mode", [((0.3, 0.5, 0.7), "11"), (WIDE, "40")])
+    def test_synthetic_corpus(self, monkeypatch, synthetic_500, thresholds, ap_mode):
+        assert_kernel_equals_oracle(monkeypatch, *synthetic_500, thresholds, ap_mode)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_overlaps_on_the_thresholds_and_tied(self, monkeypatch, seed):
+        # Overlaps drawn from the thresholds themselves, 0 and 0.9: values
+        # tie within rows and sit exactly on a pass's threshold.
+        rng = np.random.default_rng(seed)
+        rows, tiers = {}, {}
+        for k in range(8):
+            n_pred, n_gt = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+            rows[f"{k:06d}"] = rng.choice([0.0, 0.1, 0.25, 0.5, 0.7, 0.9],
+                                          size=(2, n_pred, n_gt))
+            tiers[f"{k:06d}"] = [Difficulty(int(t)) for t in rng.integers(0, 4, n_gt)]
+        gts, preds, overlaps = crafted_split(rows, tiers)
+        assert_kernel_equals_oracle(monkeypatch, gts, preds, WIDE, overlaps=overlaps)
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        # A cap of one cell puts every frame in a block of its own.
+        gts, preds = random_split(3, n_frames=12)
+        expected = evaluate_frames(gts, preds, thresholds=WIDE)
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 1)
+        assert evaluate_frames(gts, preds, thresholds=WIDE) == expected
+
+    def test_only_out_of_tier_ground_truth(self, monkeypatch):
+        # No tier holds a ground truth: no pass runs, and every AP is None.
+        gts = {"000000": [tiered_car(Difficulty.IGNORED)]}
+        preds = {"000000": [make_car(score=0.5)]}
+        report = assert_kernel_equals_oracle(monkeypatch, gts, preds, (0.5,))
+        assert report["ap_3d"]["hard"] == {"0.5": None}
+        assert report["localization"] is None
+
+
+def crafted_split(rows_by_frame, tiers_by_frame):
+    """Frames of Car predictions with strictly descending scores (so they
+    are visited in file order) and ground truths of the given tiers,
+    whose overlaps are the given ``(2, n_pred, n_gt)`` matrices."""
+    gts, preds, overlaps = {}, {}, {}
+    for f, rows in rows_by_frame.items():
+        overlaps[f] = np.array(rows, dtype=float)
+        preds[f] = [make_car(score=1.0 - 0.1 * i) for i in range(overlaps[f].shape[1])]
+        gts[f] = [tiered_car(t) for t in tiers_by_frame[f]]
+    return gts, preds, overlaps
+
+
+def first_error(fn):
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestNanReadOrder:
+    """The kernel raises for the first NaN pair the scalar match reads: by
+    pass, then frame, then visit rank; in a row, the free tier columns,
+    then the out-of-tier ones up to the first at the threshold."""
+
+    def run(self, monkeypatch, rows_by_frame, tiers_by_frame, block_cells=None):
+        gts, preds, overlaps = crafted_split(rows_by_frame, tiers_by_frame)
+        expected = first_error(lambda: oracle_evaluate(gts, preds, (0.3, 0.5, 0.7),
+                                                       overlaps=overlaps))
+        flat = np.concatenate([overlaps[f].reshape(2, -1) for f in sorted(gts)], axis=1)
+        monkeypatch.setattr(evaluation, "_pair_overlaps", lambda *args: flat)
+        if block_cells is not None:
+            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_cells)
+        assert first_error(lambda: evaluate_frames(gts, preds)) == expected
+        return expected
+
+    def test_nan_after_an_ignored_hit_is_never_read(self, monkeypatch):
+        nan = math.nan
+        row = [0.0, 0.9, nan]   # easy, then two out-of-tier ground truths
+        assert self.run(monkeypatch, {"000000": [[row], [row]]},
+                        {"000000": [Difficulty.EASY, Difficulty.IGNORED,
+                                    Difficulty.IGNORED]}) is None
+
+    def test_nan_in_a_taken_column_is_never_read(self, monkeypatch):
+        nan = math.nan
+        rows = [[0.9, 0.0], [nan, 0.8]]   # prediction 0 takes ground truth 0 first
+        assert self.run(monkeypatch, {"000000": [rows, rows]},
+                        {"000000": [Difficulty.EASY, Difficulty.EASY]}) is None
+
+    def test_bev_only_nan_raises_after_the_easy_3d_passes(self, monkeypatch):
+        # The 3D NaN is read only by the hard tier; the BEV one by the easy
+        # tier's first BEV pass, which comes first.
+        nan = math.nan
+        plane_3d = [[0.0, 0.9, nan]]
+        plane_bev = [[nan, 0.0, 0.0]]
+        assert self.run(monkeypatch, {"000000": [plane_3d, plane_bev]},
+                        {"000000": [Difficulty.EASY, Difficulty.IGNORED, Difficulty.HARD]}
+                        ) == ("frame '000000', prediction 0 and ground truth 0: "
+                              "both footprints are degenerate")
+
+    @pytest.mark.parametrize("block_cells", [None, 1])
+    def test_nans_in_two_frames_name_the_lower_frame(self, monkeypatch, block_cells):
+        # Frame 000003 reads its NaN at rank 0, frame 000001 only at rank 1.
+        nan = math.nan
+        late = [[0.9, 0.0], [0.0, nan]]
+        early = [[nan]]
+        assert self.run(monkeypatch, {"000001": [late, late], "000003": [early, early]},
+                        {"000001": [Difficulty.EASY, Difficulty.EASY],
+                         "000003": [Difficulty.EASY]}, block_cells
+                        ) == ("frame '000001', prediction 1 and ground truth 1: "
+                              "both boxes are degenerate")
+
+    def test_nan_out_of_tier_before_the_hit_is_read(self, monkeypatch):
+        nan = math.nan
+        row = [0.0, nan, 0.9]
+        assert self.run(monkeypatch, {"000000": [[row], [row]]},
+                        {"000000": [Difficulty.EASY, Difficulty.IGNORED,
+                                    Difficulty.IGNORED]}
+                        ) == ("frame '000000', prediction 0 and ground truth 1: "
+                              "both boxes are degenerate")
+
+
+class TestPadding:
+    def small_split(self, n_frames):
+        rng = np.random.default_rng(21)
+        gts, preds = {}, {}
+        for k in range(n_frames):
+            cars = [tiered_car(Difficulty(int(rng.integers(0, 4))),
+                               x=float(rng.uniform(-8, 8)), z=float(rng.uniform(8, 40)))
+                    for _ in range(int(rng.integers(1, 4)))]
+            gts[f"{k:06d}"] = cars
+            preds[f"{k:06d}"] = [make_car(x=c.location[0] + float(rng.normal(0, 0.3)),
+                                          z=c.location[2], score=float(rng.choice([0.4, 0.8])))
+                                 for c in cars]
+        return gts, preds
+
+    def peak(self, gts, preds):
+        tracemalloc.start()
+        try:
+            report = evaluate_frames(gts, preds, thresholds=WIDE)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_one_crowded_frame_pads_few_others(self):
+        """numpy reports its allocations to tracemalloc. Padded to the
+        crowded frame's 100 x 20, every frame would hold 2,000 cells, and
+        the rank steps' arrays would reach tens of MB."""
+        gts, preds = self.small_split(2000)
+        _, base = self.peak(gts, preds)
+        rng = np.random.default_rng(5)
+        gts["002000"] = [tiered_car(Difficulty.EASY, x=float(x), z=30.0)
+                         for x in np.linspace(-40, 40, 20)]
+        preds["002000"] = [make_car(x=float(rng.uniform(-40, 40)), z=30.0,
+                                    score=float(rng.uniform(0, 1))) for _ in range(100)]
+        report, crowded = self.peak(gts, preds)
+        assert report == oracle_evaluate(gts, preds, WIDE)[0]
+        assert crowded < 1.25 * base + 2**20, \
+            f"{crowded / 2**20:.1f} MB against {base / 2**20:.1f} MB"
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("thresholds", [(0.0,), (math.nan,), (1.5,), (0.5, 0.50), ()])
+    def test_rejected_by_evaluate_frames(self, thresholds):
+        gts, preds = random_split(0)
+        with pytest.raises(ValueError, match="threshold"):
+            evaluate_frames(gts, preds, thresholds=thresholds)
+
+    @pytest.mark.parametrize("threshold", [0.0, math.nan, 1.5])
+    def test_rejected_by_match_frame(self, threshold):
+        car = make_car(score=0.5)
+        with pytest.raises(ValueError, match=r"thresholds must lie in \(0, 1\]"):
+            match_frame([car], [car], threshold)
+
+    def test_duplicate_keys_rejected(self):
+        with pytest.raises(ValueError, match="0.5 more than once"):
+            evaluation.check_thresholds((0.5, 0.50))
+
+    def test_one_is_accepted(self):
+        car = make_car(score=0.5)
+        assert [(i, j) for i, j, _ in match_frame([car], [car], 1.0).pairs] == [(0, 0)]

@@ -15,16 +15,17 @@ binned by depth.
 A split evaluation clips every (prediction, ground truth) pair of the
 split once, in one batched pass: the pairs of all frames are stacked and
 clipped a fixed-size chunk at a time, with the per-edge sign tests as
-array operations. Matching then runs every difficulty tier, metric and
-threshold at once, as rank steps: the frames' overlap matrices, rows in
-visit order, are padded with -inf into blocks of frames, and step r
-matches every frame's rank-r prediction under every pass with one masked
-argmax. Average precision sorts the split's predictions by score once;
-each pass's curve is a running sum over that order. The localization
-report reads the pairs of one of those passes. ``frame_overlaps``,
-``iou_3d`` and ``bev_iou`` are one-frame and one-pair calls of the
-overlap pass, ``match_frame`` and ``average_precision`` one-frame and
-one-pass calls of matching and AP.
+array operations. A pair degenerate in both boxes (a NaN overlap) is
+rejected there, before matching. Matching then runs every difficulty
+tier, metric and threshold at once, as rank steps: the frames' overlap
+matrices, rows in visit order, are padded with -inf into blocks of
+frames, and step r matches every frame's rank-r prediction under every
+pass with one masked argmax. Average precision sorts the split's
+predictions by score once; each pass's curve is a running sum over that
+order. The localization report reads the pairs of one of those passes.
+``frame_overlaps``, ``iou_3d`` and ``bev_iou`` are one-frame and
+one-pair calls of the overlap pass, ``match_frame`` and
+``average_precision`` one-frame and one-pass calls of matching and AP.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ class LocalizationReport:
     ``ra = 1 - mean(|err| / z_gt)`` clamped to [0, 1].
     """
 
+    count: int
     ra_u: float
     ra_v: float
     ra_z: float
-    count: int
     depth_bins: list[DepthBinAccuracy] = field(default_factory=list)
 
 
@@ -257,26 +258,6 @@ def _pair_overlaps(rows: Box3D, cols: Box3D, n_rows: np.ndarray,
     return values
 
 
-def _overlap_matrices(frames: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]]
-                      ) -> list[np.ndarray]:
-    """:func:`frame_overlaps` of many frames of (row boxes, column boxes),
-    every pair of every frame clipped in one batched pass, with the row
-    box as the subject."""
-    def stack(boxes: list[Box3D]) -> Box3D:
-        return _box_stack([b.center for b in boxes], [b.dims for b in boxes],
-                          [b.yaw for b in boxes])
-
-    n_rows = np.array([len(boxes) for boxes, _ in frames], dtype=int)
-    n_cols = np.array([len(boxes) for _, boxes in frames], dtype=int)
-    values = _pair_overlaps(stack([b for boxes, _ in frames for b in boxes]),
-                            stack([b for _, boxes in frames for b in boxes]), n_rows, n_cols)
-    sizes = n_rows * n_cols
-    ends = np.cumsum(sizes)
-    return [values[:, end - size:end].reshape(2, r, c)
-            for end, size, r, c in zip(ends.tolist(), sizes.tolist(),
-                                       n_rows.tolist(), n_cols.tolist())]
-
-
 def frame_overlaps(preds: Sequence[ObjectAnnotation],
                    gts: Sequence[ObjectAnnotation]) -> np.ndarray:
     """3D (plane 0) and BEV (plane 1) IoU of every (prediction, ground
@@ -292,7 +273,9 @@ def frame_overlaps(preds: Sequence[ObjectAnnotation],
 
 def _one_pair(a: Box3D, b: Box3D, metric: str) -> float:
     k = _METRICS[metric]
-    value = float(_overlap_matrices([([a], [b])])[0][k, 0, 0])
+    a_stack, b_stack = (_box_stack([box.center], [box.dims], [box.yaw]) for box in (a, b))
+    one = np.array([1])
+    value = float(_pair_overlaps(a_stack, b_stack, one, one)[k, 0])
     if math.isnan(value):
         raise ValueError(_DEGENERATE[k])
     return value
@@ -443,59 +426,39 @@ def _rank_steps(grid: np.ndarray, tiers: np.ndarray, passes: np.ndarray
     prediction is ignored where an out-of-tier column reaches it.
 
     Returns, per (pass, frame, rank), the matched column or -1 and the
-    ignored flag; and per (pass, frame), the rank and column of the first
-    NaN that visiting the columns in the scalar order would read (the
-    pass's free tier columns, then its out-of-tier ones up to the first
-    that reaches the threshold), with rank P where none is read.
+    ignored flag.
     """
-    n_ranks = grid.shape[2]
     rows = grid[passes[:, 1].astype(np.intp)]
     threshold = passes[:, 2, None]
     free = tiers <= passes[:, 0, None, None]
-    out_of_tier = ~free[:, :, None, :]
-    reaches = (rows >= threshold[..., None, None]) & out_of_tier
+    reaches = (rows >= threshold[..., None, None]) & ~free[:, :, None, :]
     matched = np.full(rows.shape[:3], -1)
-    nan_rank = np.full(rows.shape[:2], n_ranks)
-    nan_col = np.zeros(rows.shape[:2], dtype=int)
-    any_nan = bool(np.isnan(grid).any())
-    for r in range(n_ranks):
-        row = rows[:, :, r]
-        candidates = np.where(free, row, -np.inf)
+    for r in range(grid.shape[2]):
+        candidates = np.where(free, rows[:, :, r], -np.inf)
         col = candidates.argmax(axis=2)
         hit = np.take_along_axis(candidates, col[..., None], axis=2)[..., 0] >= threshold
-        if any_nan:
-            nan = np.isnan(row)
-            tier_nan = nan & free
-            ignored_nan = (nan & ~np.logical_or.accumulate(reaches[:, :, r], axis=2)
-                           & out_of_tier[:, :, 0] & ~hit[..., None])
-            read = np.where(tier_nan.any(axis=2, keepdims=True), tier_nan, ignored_nan)
-            first = read.any(axis=2) & (nan_rank == n_ranks)
-            nan_rank[first] = r
-            nan_col[first] = read.argmax(axis=2)[first]
         p, f = np.nonzero(hit)
         free[p, f, col[p, f]] = False
         matched[:, :, r] = np.where(hit, col, -1)
     ignored = (matched < 0) & reaches.any(axis=3)
-    return matched, ignored, nan_rank, nan_col
+    return matched, ignored
 
 
 def _match_passes(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray,
                   tiers: np.ndarray, passes: Sequence[tuple[int, int, float]]
-                  ) -> tuple[np.ndarray, np.ndarray, Optional[tuple[int, int, int]]]:
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy matching of a split under every pass, as rank steps over
     padded blocks of frames (:func:`_frame_blocks`, :func:`_rank_steps`).
 
     ``values`` holds the frames' ``(2, n_rows, n_cols)`` overlap matrices,
-    rows in visit order, each flattened row-major, end to end; ``tiers``
-    the frames' ground-truth tiers, end to end. A pass (tier, metric
-    plane, threshold) matches the ground truths of its tier and easier;
-    the rest are its out-of-tier columns.
+    rows in visit order, each flattened row-major, end to end, with no NaN
+    in a pass's plane; ``tiers`` the frames' ground-truth tiers, end to
+    end. A pass (tier, metric plane, threshold) matches the ground truths
+    of its tier and easier; the rest are its out-of-tier columns.
 
     Returns, per pass and prediction (frame by frame, in visit order), the
     matched ground truth's column in its frame or -1, and whether an
-    unmatched prediction is ignored; and the first NaN pair the scalar
-    greedy match would read, in pass, frame and visit order, as (pass,
-    prediction, column), or None.
+    unmatched prediction is ignored.
     """
     pass_rows = np.array(passes, dtype=float).reshape(-1, 3)
     row_start = np.cumsum(n_rows) - n_rows
@@ -503,7 +466,6 @@ def _match_passes(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray,
     pair_start = np.cumsum(n_rows * n_cols) - n_rows * n_cols
     matched = np.full((len(pass_rows), int(n_rows.sum())), -1)
     ignored = np.zeros(matched.shape, dtype=bool)
-    nan_reads = []
     for block in _frame_blocks(n_rows, n_cols):
         rows, cols = n_rows[block], n_cols[block]
         grid = np.full((2, len(block), int(rows.max()), max(1, int(cols.max()))), -np.inf)
@@ -513,15 +475,11 @@ def _match_passes(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray,
         block_tiers = np.zeros((len(block), grid.shape[3]), dtype=int)
         frame, local = _segments(cols)
         block_tiers[frame, local] = tiers[col_start[block][frame] + local]
-        block_matched, block_ignored, nan_rank, nan_col = _rank_steps(grid, block_tiers,
-                                                                      pass_rows)
+        block_matched, block_ignored = _rank_steps(grid, block_tiers, pass_rows)
         frame, rank = _segments(rows)
         matched[:, row_start[block][frame] + rank] = block_matched[:, frame, rank]
         ignored[:, row_start[block][frame] + rank] = block_ignored[:, frame, rank]
-        p, f = np.nonzero(nan_rank < grid.shape[2])
-        nan_reads += zip(p.tolist(), (row_start[block][f] + nan_rank[p, f]).tolist(),
-                         nan_col[p, f].tolist())
-    return matched, ignored, min(nan_reads, default=None)
+    return matched, ignored
 
 
 def _degenerate(frame: str, prediction: int, ground_truth: int, k: int) -> ValueError:
@@ -542,9 +500,9 @@ def match_frame(preds: Sequence[ObjectAnnotation], gts: Sequence[ObjectAnnotatio
     ``ignored_gts`` entry at the threshold is dropped from scoring
     entirely (not a false positive), mirroring the benchmark treatment of
     detections on out-of-tier objects. This is one frame and one pass of
-    the split's matching kernel. Reading a pair that is degenerate in
-    both boxes raises, naming the prediction's index and the ground
-    truth's index in ``[*gts, *ignored_gts]``.
+    the split's matching kernel. Before matching, the first pair in
+    (visit rank, column) order degenerate in both boxes under ``metric``
+    raises, naming its indices in ``preds`` and ``[*gts, *ignored_gts]``.
     """
     check_thresholds((iou_threshold,))
     if metric not in _METRICS:
@@ -556,12 +514,13 @@ def match_frame(preds: Sequence[ObjectAnnotation], gts: Sequence[ObjectAnnotatio
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     all_gts = [*gts, *ignored_gts]
     overlaps = frame_overlaps([preds[i] for i in order], all_gts)
-    matched, ignored, nan_read = _match_passes(
+    degenerate = np.argwhere(np.isnan(overlaps[k]))
+    if len(degenerate):
+        rank, col = degenerate[0].tolist()
+        raise _degenerate(frame, order[rank], col, k)
+    matched, ignored = _match_passes(
         overlaps.reshape(2, -1), np.array([len(preds)]), np.array([len(all_gts)]),
         np.array([0] * len(gts) + [1] * len(ignored_gts), dtype=int), [(0, k, iou_threshold)])
-    if nan_read is not None:
-        _, rank, col = nan_read
-        raise _degenerate(frame, order[rank], col, k)
     pairs = [(order[r], j, float(overlaps[k, r, j]))
              for r, j in enumerate(matched[0].tolist()) if j >= 0]
     taken = {j for _, j, _ in pairs}
@@ -582,9 +541,9 @@ def _recall_grid(mode: str) -> list[float]:
     raise ValueError(f"ap mode must be '11' or '40', got {mode!r}")
 
 
-def _curve(is_tp: np.ndarray, n_gt: int, mode: str) -> PrecisionRecallCurve:
+def _curve(is_tp: np.ndarray, n_gt: int, grid: list[float]) -> PrecisionRecallCurve:
     """The precision/recall sweep and interpolated AP of scored
-    predictions, ``is_tp`` in descending score order.
+    predictions, ``is_tp`` in descending score order, on a recall grid.
 
     The precision at each grid recall is the maximum precision attained
     at that recall or above. A curve with at least one true positive
@@ -605,7 +564,7 @@ def _curve(is_tp: np.ndarray, n_gt: int, mode: str) -> PrecisionRecallCurve:
     # searchsorted (bisect_left) position.
     envelope = np.maximum.accumulate(np.append(precision[::-1], 1.0))[::-1]
     interpolated = np.append(envelope, 0.0)[
-        np.searchsorted(np.append(0.0, recall), _recall_grid(mode))].tolist()
+        np.searchsorted(np.append(0.0, recall), grid)].tolist()
     ap = sum(interpolated) / len(interpolated)
     return PrecisionRecallCurve(points=[(0.0, 1.0)] + points, ap=ap)
 
@@ -618,6 +577,7 @@ def average_precision(all_matches: Iterable[MatchResult], n_gt: int,
     Matched and unmatched predictions are scored, ignored ones are not;
     they are sorted by descending score, then frame id, then index.
     """
+    grid = _recall_grid(mode)
     if n_gt < 1:
         raise ValueError("average precision needs at least one ground truth")
     matches = list(all_matches)
@@ -627,7 +587,7 @@ def average_precision(all_matches: Iterable[MatchResult], n_gt: int,
                                      (m.unmatched_pred_indices, False))
               for i in indices]
     score, frame, index, is_tp = np.array(events, dtype=float).reshape(-1, 4).T
-    return _curve(is_tp[np.lexsort((index, frame, -score))] > 0, n_gt, mode)
+    return _curve(is_tp[np.lexsort((index, frame, -score))] > 0, n_gt, grid)
 
 
 def localization_report(pred_centers: np.ndarray,
@@ -635,8 +595,12 @@ def localization_report(pred_centers: np.ndarray,
     """Relative accuracy of matched 3D centres, overall and per depth bin."""
     pred_centers = np.asarray(pred_centers, dtype=float).reshape(-1, 3)
     gt_centers = np.asarray(gt_centers, dtype=float).reshape(-1, 3)
-    if len(pred_centers) == 0 or pred_centers.shape != gt_centers.shape:
+    if pred_centers.shape != gt_centers.shape:
+        raise ValueError(f"got {len(pred_centers)} predicted and {len(gt_centers)} ground-truth centres")
+    if len(pred_centers) == 0:
         raise ValueError("need at least one matched (prediction, ground truth) pair")
+    if not (np.isfinite(pred_centers).all() and np.isfinite(gt_centers).all()):
+        raise ValueError("centres must be finite")
     z_gt = gt_centers[:, 2]
     if np.any(z_gt <= 0):
         raise ValueError("ground-truth depths must be positive")
@@ -654,12 +618,8 @@ def localization_report(pred_centers: np.ndarray,
         count = int(in_bin.sum())
         ra = [accuracy(rel_err[in_bin, c]) if count else None for c in range(3)]
         bins.append(DepthBinAccuracy(lo, hi, count, *ra))
-    return LocalizationReport(
-        ra_u=accuracy(rel_err[:, 0]),
-        ra_v=accuracy(rel_err[:, 1]),
-        ra_z=accuracy(rel_err[:, 2]),
-        count=len(pred_centers),
-        depth_bins=bins)
+    return LocalizationReport(len(pred_centers), *(accuracy(rel_err[:, c]) for c in range(3)),
+                              depth_bins=bins)
 
 
 def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
@@ -670,11 +630,12 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     """Full split evaluation: AP tables per metric/difficulty/threshold
     plus a localization report over matched pairs.
 
-    Every (tier, metric, threshold) pass is matched by one call of the
-    split's kernel (:func:`_match_passes`), and the scored predictions
-    are sorted once for every pass's AP. A NaN pair read raises for the
-    first pass, frame and visit rank that reads one, as the scalar greedy
-    match would.
+    Before matching, whether or not a pass runs, the first pair in
+    (frame, visit rank, column) order degenerate in both boxes raises,
+    named by its positions among the frame's objects. Every (tier,
+    metric, threshold) pass is matched by one call of the split's kernel
+    (:func:`_match_passes`), and the scored predictions are sorted once
+    for every pass's AP.
 
     Localization pairs come from 3D matching at the lowest threshold with
     the most inclusive difficulty filter: they are read from the hard
@@ -683,6 +644,7 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     frame and the ground truth's position among the frame's objects.
     """
     check_thresholds(thresholds)
+    grid = _recall_grid(ap_mode)
     frames = sorted(gts_by_frame)
     report: dict = {
         "class": class_name,
@@ -716,17 +678,20 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     tiers = np.array([assign_difficulty(g) for g in gts], dtype=int)
     values = _pair_overlaps(_annotation_stack([preds[e] for e in visit.tolist()]),
                             _annotation_stack(gts), n_rows, n_cols)
+    # Plane 0 holds every NaN of plane 1 unless a dimension is negative.
+    degenerate = np.argwhere(np.isnan(values))
+    if len(degenerate):
+        k, e = degenerate[0].tolist()
+        f, local = (int(a[e]) for a in _segments(n_rows * n_cols))
+        rank, col = divmod(local, int(n_cols[f]))
+        raise _degenerate(frames[f], pred_positions[visit[n_rows[:f].sum() + rank]],
+                          gt_positions[gt_start[f] + col], k)
 
     difficulties = [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD]
     n_gts = {d: int((tiers <= d).sum()) for d in difficulties}
     passes = [(int(d), _METRICS[metric], thr) for d in difficulties if n_gts[d]
               for metric in _METRICS for thr in thresholds]
-    matched, ignored, nan_read = _match_passes(values, n_rows, n_cols, tiers, passes)
-    if nan_read is not None:
-        p, e, col = nan_read
-        f = pred_frame[visit[e]]
-        raise _degenerate(frames[f], pred_positions[visit[e]],
-                          gt_positions[gt_start[f] + col], passes[p][1])
+    matched, ignored = _match_passes(values, n_rows, n_cols, tiers, passes)
 
     # One sort scores every pass: entries are frame by frame in visit
     # order, so a stable sort by descending score orders them by (score,
@@ -734,7 +699,7 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     by_score = np.argsort(-np.array(scores, dtype=float)[visit], kind="stable")
     is_tp = (matched >= 0)[:, by_score]
     scored = ~ignored[:, by_score]
-    curves = iter(_curve(is_tp[p][scored[p]], n_gts[d], ap_mode)
+    curves = iter(_curve(is_tp[p][scored[p]], n_gts[d], grid)
                   for p, (d, _, _) in enumerate(passes))
     for difficulty in difficulties:
         name = difficulty.name.lower()
@@ -765,12 +730,5 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
                              f"{gt_positions[g]}: depth {gts[g].location[2]:g} is not positive")
     loc = localization_report(np.array([preds[e].location for e in pred_index.tolist()]),
                               np.array([gts[g].location for g in gt_index.tolist()]))
-    report["localization"] = {
-        "iou_threshold": loc_threshold,
-        "count": loc.count,
-        "ra_u": loc.ra_u,
-        "ra_v": loc.ra_v,
-        "ra_z": loc.ra_z,
-        "depth_bins": [asdict(b) for b in loc.depth_bins],
-    }
+    report["localization"] = {"iou_threshold": loc_threshold, **asdict(loc)}
     return report

@@ -224,16 +224,21 @@ class TestBatchedClipOracle:
         # Three frames, 2,150 pairs in all: the split's batch spans two
         # chunks, and each pair's IoUs equal those of its one-pair batch.
         rng = np.random.default_rng(11)
-        frames = [([random_box_pair(rng)[0] for _ in range(n_rows)],
-                   [random_box_pair(rng)[1] for _ in range(n_cols)])
-                  for n_rows, n_cols in ((30, 40), (25, 30), (10, 20))]
-        assert sum(len(r) * len(c) for r, c in frames) > evaluation._CLIP_CHUNK
-        for (rows, cols), overlaps in zip(frames, evaluation._overlap_matrices(frames)):
-            assert overlaps.shape == (2, len(rows), len(cols))
-            for i, a in enumerate(rows):
-                for j, b in enumerate(cols):
-                    assert np.array_equal(evaluation._overlap_matrices([([a], [b])])[0][:, 0, 0],
-                                          overlaps[:, i, j])
+        n_rows, n_cols = np.array([30, 25, 10]), np.array([40, 30, 20])
+        rows = [random_box_pair(rng)[0] for _ in range(n_rows.sum())]
+        cols = [random_box_pair(rng)[1] for _ in range(n_cols.sum())]
+
+        def stack(boxes):
+            return evaluation._box_stack([b.center for b in boxes], [b.dims for b in boxes],
+                                         [b.yaw for b in boxes])
+
+        values = evaluation._pair_overlaps(stack(rows), stack(cols), n_rows, n_cols)
+        assert values.shape[1] == (n_rows * n_cols).sum() > evaluation._CLIP_CHUNK
+        one = np.array([1])
+        expected = [evaluation._pair_overlaps(stack([a]), stack([b]), one, one)[:, 0].tolist()
+                    for f, (r, c) in enumerate(zip(n_rows.tolist(), n_cols.tolist()))
+                    for a in rows[n_rows[:f].sum():][:r] for b in cols[n_cols[:f].sum():][:c]]
+        assert values.T.tolist() == expected
 
     def test_memory_stays_bounded(self):
         """224 x 224 = 50,176 pairs in one frame. numpy reports its
@@ -526,6 +531,11 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision([], 0)
 
+    def test_mode_checked_without_a_true_positive(self):
+        m = single_frame_matches([(0.9, False)], n_gt=1)
+        with pytest.raises(ValueError, match="ap mode must be '11' or '40', got 'bogus'"):
+            average_precision([m], 1, mode="bogus")
+
     def test_score_transform_invariance(self):
         events = [(0.9, True), (0.7, False), (0.5, True), (0.2, False)]
         base = average_precision([single_frame_matches(events, 3)], 3).ap
@@ -567,6 +577,18 @@ class TestLocalizationReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             localization_report(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="^got 2 predicted and 3 ground-truth centres$"):
+            localization_report(np.ones((2, 3)), np.ones((3, 3)))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_centres_rejected(self, side, value):
+        centers = [np.array([[0.0, 1.6, 10.0]]), np.array([[0.0, 1.6, 10.0]])]
+        centers[side][0, 2] = value
+        with pytest.raises(ValueError, match="^centres must be finite$"):
+            localization_report(*centers)
 
     def test_accuracy_decays_with_depth_under_constant_pixel_error(self):
         # constant pixel error maps to a constant relative lateral error,
@@ -613,6 +635,12 @@ class TestEvaluateFrames:
                 assert report["ap_bev"][difficulty][threshold] == pytest.approx(1.0)
         assert report["localization"]["ra_u"] == pytest.approx(1.0)
         assert report["n_gt"] == {"easy": 3, "moderate": 4, "hard": 5}
+
+    def test_ap_mode_checked_without_predictions(self):
+        from conftest import frame_annotations
+        frames = frame_annotations()
+        with pytest.raises(ValueError, match="ap mode must be '11' or '40', got '7'"):
+            evaluate_frames(frames, {"000000": []}, ap_mode="7")
 
     def test_empty_predictions_zero_ap(self):
         from conftest import frame_annotations
@@ -721,11 +749,10 @@ class TestSharedOverlaps:
                                                [0.0, np.nan, 0.0]]])
 
     def test_first_degenerate_pair_read_is_named(self):
-        # Every pair is degenerate in 3D. The easy-tier 3D pass reads first:
-        # prediction 1 (higher score) before prediction 0, and its tier
-        # column (ground truth 1, easy) before its ignored one (ground
-        # truth 0, moderate). File order would name (0, 0) instead, and
-        # score order without the tier split (1, 0).
+        # Every pair is degenerate in 3D. The first in (frame, visit rank,
+        # column) order is named: prediction 1 (higher score) before
+        # prediction 0, and column 0 (ground truth 0) though it is out of
+        # the easy tier. File order would name (0, 0) instead.
         flat = (0.0, 1.63, 3.88)
         gts = [make_car(x=-3.0, dims=flat, height_px=30.0, truncation=0.2, occlusion=1),
                make_car(x=3.0, dims=flat)]
@@ -733,7 +760,7 @@ class TestSharedOverlaps:
                  make_car(x=3.0, dims=flat, score=0.8)]
         assert [assign_difficulty(g) for g in gts] == [Difficulty.MODERATE, Difficulty.EASY]
         with pytest.raises(ValueError, match=r"^frame '000007', prediction 1 and ground "
-                                             r"truth 1: both boxes are degenerate$"):
+                                             r"truth 0: both boxes are degenerate$"):
             evaluate_frames({"000007": gts}, {"000007": preds})
 
     @pytest.mark.parametrize("seed,ap_mode", [(0, "11"), (1, "40"), (2, "11"), (3, "40")])
@@ -770,7 +797,7 @@ class TestSharedOverlaps:
         report, calls = kernel_evaluate(monkeypatch, gts, preds, thresholds)
         assert report == oracle_evaluate(gts, preds, thresholds)[0]
         assert len(calls) == 1
-        (_, n_rows, _, _, passes), (matched, _, _) = calls[0]
+        (_, n_rows, _, _, passes), (matched, _) = calls[0]
         assert len(passes) == 3 * 2 * len(thresholds)
         assert matched.shape == (len(passes), sum(n_rows)) and len(n_rows) == len(gts)
 
@@ -952,8 +979,7 @@ def assert_kernel_equals_oracle(monkeypatch, gts, preds, thresholds, ap_mode="11
     report, calls = kernel_evaluate(monkeypatch, gts, preds, thresholds, ap_mode)
     assert report == expected
     assert len(calls) == 1
-    (_, n_rows, _, _, passes), (matched, ignored, nan_read) = calls[0]
-    assert nan_read is None
+    (_, n_rows, _, _, passes), (matched, ignored) = calls[0]
     assert [key for key, _ in oracle_passes] == passes
     frames = sorted(gts)
     starts = np.cumsum(n_rows) - n_rows
@@ -1079,74 +1105,81 @@ def crafted_split(rows_by_frame, tiers_by_frame):
     return gts, preds, overlaps
 
 
-def first_error(fn):
-    try:
-        fn()
-    except ValueError as exc:
-        return str(exc)
-    return None
+def degenerate_car(rng):
+    """A Car with random dims, one of them zeroed in about half the draws."""
+    dims = rng.uniform(0.5, 3.0, size=3)
+    if rng.random() < 0.5:
+        dims[rng.integers(3)] = 0.0
+    return make_car(x=float(rng.uniform(-2.0, 2.0)), z=float(rng.uniform(18.0, 22.0)),
+                    yaw=float(rng.uniform(-np.pi, np.pi)), dims=tuple(dims.tolist()))
 
 
-class TestNanReadOrder:
-    """The kernel raises for the first NaN pair the scalar match reads: by
-    pass, then frame, then visit rank; in a row, the free tier columns,
-    then the out-of-tier ones up to the first at the threshold."""
+class TestDegeneratePairs:
+    """A pair degenerate in both boxes is rejected before matching: the
+    first in (frame, visit rank, column) order is named."""
 
-    def run(self, monkeypatch, rows_by_frame, tiers_by_frame, block_cells=None):
-        gts, preds, overlaps = crafted_split(rows_by_frame, tiers_by_frame)
-        expected = first_error(lambda: oracle_evaluate(gts, preds, (0.3, 0.5, 0.7),
-                                                       overlaps=overlaps))
-        flat = np.concatenate([overlaps[f].reshape(2, -1) for f in sorted(gts)], axis=1)
-        monkeypatch.setattr(evaluation, "_pair_overlaps", lambda *args: flat)
-        if block_cells is not None:
-            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_cells)
-        assert first_error(lambda: evaluate_frames(gts, preds)) == expected
-        return expected
-
-    def test_nan_after_an_ignored_hit_is_never_read(self, monkeypatch):
-        nan = math.nan
-        row = [0.0, 0.9, nan]   # easy, then two out-of-tier ground truths
-        assert self.run(monkeypatch, {"000000": [[row], [row]]},
-                        {"000000": [Difficulty.EASY, Difficulty.IGNORED,
-                                    Difficulty.IGNORED]}) is None
-
-    def test_nan_in_a_taken_column_is_never_read(self, monkeypatch):
-        nan = math.nan
-        rows = [[0.9, 0.0], [nan, 0.8]]   # prediction 0 takes ground truth 0 first
-        assert self.run(monkeypatch, {"000000": [rows, rows]},
-                        {"000000": [Difficulty.EASY, Difficulty.EASY]}) is None
-
-    def test_bev_only_nan_raises_after_the_easy_3d_passes(self, monkeypatch):
-        # The 3D NaN is read only by the hard tier; the BEV one by the easy
-        # tier's first BEV pass, which comes first.
-        nan = math.nan
-        plane_3d = [[0.0, 0.9, nan]]
-        plane_bev = [[nan, 0.0, 0.0]]
-        assert self.run(monkeypatch, {"000000": [plane_3d, plane_bev]},
-                        {"000000": [Difficulty.EASY, Difficulty.IGNORED, Difficulty.HARD]}
-                        ) == ("frame '000000', prediction 0 and ground truth 0: "
-                              "both footprints are degenerate")
+    @pytest.mark.parametrize("seed", range(10))
+    def test_nan_pairs_never_meet_an_overlap(self, seed):
+        # The rule rests on this: a box with a zero dimension overlaps
+        # nothing, so its row or column is 0 or NaN throughout, and a NaN
+        # footprint pair is a NaN volume pair.
+        rng = np.random.default_rng(seed)
+        overlaps = evaluation.frame_overlaps([degenerate_car(rng) for _ in range(8)],
+                                             [degenerate_car(rng) for _ in range(8)])
+        nan = np.isnan(overlaps)
+        assert nan[0].any() and (overlaps[0] > 0).any()
+        assert not (nan[1] & ~nan[0]).any()
+        for plane, holes in zip(overlaps, nan):
+            lines = np.concatenate([plane[holes.any(axis=1)].ravel(),
+                                    plane[:, holes.any(axis=0)].ravel()])
+            assert (np.isnan(lines) | (lines == 0.0)).all()
 
     @pytest.mark.parametrize("block_cells", [None, 1])
     def test_nans_in_two_frames_name_the_lower_frame(self, monkeypatch, block_cells):
-        # Frame 000003 reads its NaN at rank 0, frame 000001 only at rank 1.
-        nan = math.nan
-        late = [[0.9, 0.0], [0.0, nan]]
-        early = [[nan]]
-        assert self.run(monkeypatch, {"000001": [late, late], "000003": [early, early]},
-                        {"000001": [Difficulty.EASY, Difficulty.EASY],
-                         "000003": [Difficulty.EASY]}, block_cells
-                        ) == ("frame '000001', prediction 1 and ground truth 1: "
-                              "both boxes are degenerate")
+        # Frame 000003 holds a degenerate pair at rank 0, frame 000001 only
+        # at rank 1, behind a match.
+        flat = (0.0, 1.63, 3.88)
+        gts = {"000001": [make_car(x=-3.0), make_car(x=3.0, dims=flat)],
+               "000003": [make_car(dims=flat)]}
+        preds = {"000001": [make_car(x=-3.0, score=0.9), make_car(x=3.0, dims=flat, score=0.5)],
+                 "000003": [make_car(dims=flat, score=0.9)]}
+        if block_cells is not None:
+            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_cells)
+        with pytest.raises(ValueError, match=r"^frame '000001', prediction 1 and ground "
+                                             r"truth 1: both boxes are degenerate$"):
+            evaluate_frames(gts, preds)
 
-    def test_nan_out_of_tier_before_the_hit_is_read(self, monkeypatch):
-        nan = math.nan
-        row = [0.0, nan, 0.9]
-        assert self.run(monkeypatch, {"000000": [[row], [row]]},
-                        {"000000": [Difficulty.EASY, Difficulty.IGNORED,
-                                    Difficulty.IGNORED]}
-                        ) == ("frame '000000', prediction 0 and ground truth 1: "
-                              "both boxes are degenerate")
+    def test_split_without_tier_ground_truth_is_checked(self):
+        # No tier holds a ground truth, so no pass runs; the pair is still
+        # rejected.
+        flat = (0.0, 1.63, 3.88)
+        gts = {"000000": [tiered_car(Difficulty.IGNORED, dims=flat)]}
+        preds = {"000000": [make_car(dims=flat, score=0.5)]}
+        with pytest.raises(ValueError, match=r"^frame '000000', prediction 0 and ground "
+                                             r"truth 0: both boxes are degenerate$"):
+            evaluate_frames(gts, preds)
+
+    def test_footprint_only_nan_is_rejected(self):
+        # Negative dims, which only API callers can pass, give a NaN
+        # footprint pair whose volume pair is 0, not NaN.
+        box = make_car(dims=(-1.52, -1.63, 3.88), score=0.5)
+        overlaps = evaluation.frame_overlaps([box], [box])
+        assert overlaps[0, 0, 0] == 0.0 and np.isnan(overlaps[1, 0, 0])
+        with pytest.raises(ValueError, match=r"^frame '000000', prediction 0 and ground "
+                                             r"truth 0: both footprints are degenerate$"):
+            evaluate_frames({"000000": [box]}, {"000000": [box]})
+
+    def test_match_frame_checks_its_own_metric(self):
+        # A zero height leaves the footprint whole; a zero width does not.
+        flat = make_car(dims=(0.0, 1.63, 3.88), score=0.5)
+        thin = make_car(dims=(1.52, 0.0, 3.88), score=0.5)
+        assert match_frame([flat], [flat], 0.5, "bev").pairs == [(0, 0, 1.0)]
+        with pytest.raises(ValueError, match=r"^frame '', prediction 0 and ground truth 0: "
+                                             r"both boxes are degenerate$"):
+            match_frame([flat], [flat], 0.5, "3d")
+        with pytest.raises(ValueError, match=r"^frame '', prediction 0 and ground truth 1: "
+                                             r"both footprints are degenerate$"):
+            match_frame([thin], [make_car()], 0.5, "bev", ignored_gts=[thin])
 
 
 class TestPadding:

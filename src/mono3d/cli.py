@@ -239,6 +239,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     if args.n_seeds < 1:
         raise ValueError(f"--n-seeds must be at least 1, got {args.n_seeds}")
     cfg = LossConfig(beta=args.beta, lam=args.lam)
@@ -296,6 +298,8 @@ def _toy_table(seeds: list[int], reports: dict) -> list[str]:
 
 
 def cmd_iou_oracle(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     if args.n_pairs < 1:
         raise ValueError(f"--n-pairs must be at least 1, got {args.n_pairs}")
     rng = np.random.default_rng(args.seed)
@@ -334,8 +338,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, kitti_io.LabelFormatError,
-            kitti_io.CalibFormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"mono3d: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -23,16 +23,17 @@ frames, and step r matches every frame's rank-r prediction under every
 pass with one masked argmax. Average precision sorts the split's
 predictions by score once; each pass's curve is a running sum over that
 order. The localization report reads the pairs of one of those passes.
-``frame_overlaps``, ``iou_3d`` and ``bev_iou`` are one-frame and
-one-pair calls of the overlap pass, ``match_frame`` and
-``average_precision`` one-frame and one-pass calls of matching and AP.
+``iou_3d`` and ``bev_iou`` are one-pair calls of the overlap pass, and
+``average_precision`` is one pass of AP over given per-frame matches.
+Every box entering an overlap or the sampler must hold finite values
+and non-negative dims.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +48,8 @@ DEPTH_BIN_EDGES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 90.0)
 
 @dataclass
 class MatchResult:
-    """Greedy prediction/ground-truth assignment for one frame."""
+    """One frame's matched pairs and scored predictions, as
+    :func:`average_precision` reads them."""
 
     frame_id: str
     pairs: list[tuple[int, int, float]]          # (pred index, gt index, iou)
@@ -86,10 +88,6 @@ class LocalizationReport:
     ra_v: float
     ra_z: float
     depth_bins: list[DepthBinAccuracy] = field(default_factory=list)
-
-
-def annotation_box3d(a: ObjectAnnotation) -> Box3D:
-    return Box3D(center=a.location, dims=a.dims, yaw=a.rotation_y)
 
 
 def polygon_area(vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -181,8 +179,8 @@ def clip_convex(subjects: np.ndarray, clips: np.ndarray) -> tuple[np.ndarray, np
     return vertices, counts - closing
 
 
-# A metric's plane in a frame_overlaps matrix, and the error for a
-# pair that is degenerate in both boxes under each.
+# A metric's plane in _pair_overlaps' values, and the error for a pair
+# that is degenerate in both boxes under each.
 _METRICS = {"3d": 0, "bev": 1}
 _DEGENERATE = ("both boxes are degenerate", "both footprints are degenerate")
 
@@ -198,14 +196,28 @@ def _box_stack(centers, dims, yaws) -> Box3D:
 
 
 def _annotation_stack(annotations: Sequence[ObjectAnnotation]) -> Box3D:
-    """:func:`annotation_box3d` of every annotation, as one stack."""
+    """The boxes of the annotations (location, dims, rotation_y), as one stack."""
     return _box_stack([a.location for a in annotations], [a.dims for a in annotations],
                       [a.rotation_y for a in annotations])
 
 
-def _box_columns(boxes: Box3D) -> tuple[np.ndarray, ...]:
-    """Per-box arrays of a stack: BEV footprints ``(B, 4, 2)``, their
-    signed areas, bottom-face heights ``y`` and box heights ``h``."""
+def _check_boxes(boxes: Box3D, name: Callable[[int], str]) -> None:
+    """Reject the first box of a stack whose centre, dims or yaw is not
+    finite or whose dims are negative, naming it ``name(index)``."""
+    sound = (np.isfinite(boxes.center).all(axis=1) & np.isfinite(boxes.yaw)
+             & ((boxes.dims >= 0) & (boxes.dims < math.inf)).all(axis=1))
+    if not sound.all():
+        i = int(np.argmin(sound))
+        raise ValueError(f"{name(i)}: centre, dims and yaw must be finite, dims non-negative, got "
+                         f"centre {tuple(boxes.center[i].tolist())}, dims "
+                         f"{tuple(boxes.dims[i].tolist())}, yaw {boxes.yaw[i]}")
+
+
+def _box_columns(boxes: Box3D, name: Callable[[int], str]) -> tuple[np.ndarray, ...]:
+    """Per-box arrays of a stack, checked by :func:`_check_boxes`: BEV
+    footprints ``(B, 4, 2)``, their signed areas, bottom-face heights
+    ``y`` and box heights ``h``."""
+    _check_boxes(boxes, name)
     footprints = bev_footprint(boxes)
     return (footprints, polygon_area(footprints, np.full(len(footprints), 4)),
             boxes.center[:, 1], boxes.dims[:, 0])
@@ -230,15 +242,15 @@ def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return segment, np.arange(len(segment)) - (np.cumsum(counts) - counts)[segment]
 
 
-def _pair_overlaps(rows: Box3D, cols: Box3D, n_rows: np.ndarray,
-                   n_cols: np.ndarray) -> np.ndarray:
+def _pair_overlaps(row_boxes: tuple[np.ndarray, ...], col_boxes: tuple[np.ndarray, ...],
+                   n_rows: np.ndarray, n_cols: np.ndarray) -> np.ndarray:
     """3D and BEV IoU of every (row box, column box) pair of many frames,
     shape ``(2, sum(n_rows * n_cols))``: frame by frame, each frame's
-    ``(n_rows, n_cols)`` matrix row-major. The stacks hold the frames'
-    boxes end to end. Every pair is clipped in one batched pass, with the
-    row box as the subject."""
-    row_boxes = _box_columns(rows)
-    col_boxes = _box_columns(cols)
+    ``(n_rows, n_cols)`` matrix row-major. The two sides are
+    :func:`_box_columns` of stacks that hold the frames' boxes end to end.
+    Every pair is clipped in one batched pass, with the row box as the
+    subject. A pair holds NaN under a metric where both boxes are
+    degenerate (zero area or volume)."""
     frame_of, local = _segments(n_rows * n_cols)
     pair_rows = (np.cumsum(n_rows) - n_rows)[frame_of] + local // n_cols[frame_of]
     pair_cols = (np.cumsum(n_cols) - n_cols)[frame_of] + local % n_cols[frame_of]
@@ -258,24 +270,17 @@ def _pair_overlaps(rows: Box3D, cols: Box3D, n_rows: np.ndarray,
     return values
 
 
-def frame_overlaps(preds: Sequence[ObjectAnnotation],
-                   gts: Sequence[ObjectAnnotation]) -> np.ndarray:
-    """3D (plane 0) and BEV (plane 1) IoU of every (prediction, ground
-    truth) pair of a frame, shape ``(2, len(preds), len(gts))``.
-
-    Each pair is clipped once. A pair whose boxes are both degenerate
-    under a metric holds NaN in that metric's plane.
-    """
-    n_rows, n_cols = len(preds), len(gts)
-    return _pair_overlaps(_annotation_stack(preds), _annotation_stack(gts), np.array([n_rows]),
-                          np.array([n_cols])).reshape(2, n_rows, n_cols)
+def _one_box(box: Box3D, name: str) -> tuple[Box3D, Callable[[int], str]]:
+    """A box as a stack of one, and its name in errors."""
+    return _box_stack([box.center], [box.dims], [box.yaw]), lambda _: name
 
 
 def _one_pair(a: Box3D, b: Box3D, metric: str) -> float:
     k = _METRICS[metric]
-    a_stack, b_stack = (_box_stack([box.center], [box.dims], [box.yaw]) for box in (a, b))
+    rows, cols = (_box_columns(*_one_box(box, name))
+                  for box, name in ((a, "box a"), (b, "box b")))
     one = np.array([1])
-    value = float(_pair_overlaps(a_stack, b_stack, one, one)[k, 0])
+    value = float(_pair_overlaps(rows, cols, one, one)[k, 0])
     if math.isnan(value):
         raise ValueError(_DEGENERATE[k])
     return value
@@ -313,6 +318,8 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    for box, name in ((a, "box a"), (b, "box b")):
+        _check_boxes(*_one_box(box, name))
     ha, wa, la = a.dims
     hb, wb, lb = b.dims
     vol_a = ha * wa * la
@@ -354,15 +361,6 @@ def random_box_pair(rng: np.random.Generator) -> tuple[Box3D, Box3D]:
     b = Box3D(center=tuple(center + offset), dims=tuple(dims_b),
               yaw=float(rng.uniform(-np.pi, np.pi)))
     return a, b
-
-
-def filter_by_difficulty(annotations: Sequence[ObjectAnnotation],
-                         difficulty: Difficulty,
-                         class_name: str = "Car") -> list[ObjectAnnotation]:
-    """Ground truths counted at a difficulty setting: the requested tier
-    and everything easier, restricted to one class."""
-    return [a for a in annotations
-            if a.class_name == class_name and assign_difficulty(a) <= difficulty]
 
 
 def check_thresholds(thresholds: Sequence[float]) -> None:
@@ -482,57 +480,6 @@ def _match_passes(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray,
     return matched, ignored
 
 
-def _degenerate(frame: str, prediction: int, ground_truth: int, k: int) -> ValueError:
-    return ValueError(f"frame {frame!r}, prediction {prediction} and "
-                      f"ground truth {ground_truth}: {_DEGENERATE[k]}")
-
-
-def match_frame(preds: Sequence[ObjectAnnotation], gts: Sequence[ObjectAnnotation],
-                iou_threshold: float, metric: str = "3d", frame: str = "",
-                ignored_gts: Sequence[ObjectAnnotation] = ()) -> MatchResult:
-    """Greedily assign predictions to ground truths within one frame.
-
-    Predictions are visited in descending score order, then by index;
-    each takes the highest-overlap still-unmatched ground truth at or
-    above the threshold, the first of equal ones. Callers filter ``gts``
-    beforehand (class, difficulty); excluded objects neither match nor
-    count as misses. A prediction left unmatched that overlaps an
-    ``ignored_gts`` entry at the threshold is dropped from scoring
-    entirely (not a false positive), mirroring the benchmark treatment of
-    detections on out-of-tier objects. This is one frame and one pass of
-    the split's matching kernel. Before matching, the first pair in
-    (visit rank, column) order degenerate in both boxes under ``metric``
-    raises, naming its indices in ``preds`` and ``[*gts, *ignored_gts]``.
-    """
-    check_thresholds((iou_threshold,))
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be '3d' or 'bev', got {metric!r}")
-    k = _METRICS[metric]
-    scores = [p.score for p in preds]
-    if None in scores:
-        raise ValueError(f"frame {frame!r}, prediction {scores.index(None)}: no score")
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    all_gts = [*gts, *ignored_gts]
-    overlaps = frame_overlaps([preds[i] for i in order], all_gts)
-    degenerate = np.argwhere(np.isnan(overlaps[k]))
-    if len(degenerate):
-        rank, col = degenerate[0].tolist()
-        raise _degenerate(frame, order[rank], col, k)
-    matched, ignored = _match_passes(
-        overlaps.reshape(2, -1), np.array([len(preds)]), np.array([len(all_gts)]),
-        np.array([0] * len(gts) + [1] * len(ignored_gts), dtype=int), [(0, k, iou_threshold)])
-    pairs = [(order[r], j, float(overlaps[k, r, j]))
-             for r, j in enumerate(matched[0].tolist()) if j >= 0]
-    taken = {j for _, j, _ in pairs}
-    return MatchResult(
-        frame_id=frame, pairs=pairs,
-        unmatched_pred_indices=sorted(order[r] for r, j in enumerate(matched[0].tolist())
-                                      if j < 0 and not ignored[0, r]),
-        unmatched_gt_indices=[j for j in range(len(gts)) if j not in taken],
-        pred_scores=scores,
-        ignored_pred_indices=sorted(order[r] for r in np.flatnonzero(ignored[0]).tolist()))
-
-
 def _recall_grid(mode: str) -> list[float]:
     if mode == "11":
         return [k / 10.0 for k in range(11)]
@@ -593,10 +540,11 @@ def average_precision(all_matches: Iterable[MatchResult], n_gt: int,
 def localization_report(pred_centers: np.ndarray,
                         gt_centers: np.ndarray) -> LocalizationReport:
     """Relative accuracy of matched 3D centres, overall and per depth bin."""
-    pred_centers = np.asarray(pred_centers, dtype=float).reshape(-1, 3)
-    gt_centers = np.asarray(gt_centers, dtype=float).reshape(-1, 3)
-    if pred_centers.shape != gt_centers.shape:
-        raise ValueError(f"got {len(pred_centers)} predicted and {len(gt_centers)} ground-truth centres")
+    pred_centers = np.asarray(pred_centers, dtype=float)
+    gt_centers = np.asarray(gt_centers, dtype=float)
+    if pred_centers.shape != gt_centers.shape or pred_centers.shape[1:] != (3,):
+        raise ValueError(f"centres must be two (N, 3) arrays, got {pred_centers.shape} "
+                         f"predicted and {gt_centers.shape} ground-truth")
     if len(pred_centers) == 0:
         raise ValueError("need at least one matched (prediction, ground truth) pair")
     if not (np.isfinite(pred_centers).all() and np.isfinite(gt_centers).all()):
@@ -630,9 +578,11 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     """Full split evaluation: AP tables per metric/difficulty/threshold
     plus a localization report over matched pairs.
 
-    Before matching, whether or not a pass runs, the first pair in
-    (frame, visit rank, column) order degenerate in both boxes raises,
-    named by its positions among the frame's objects. Every (tier,
+    Before matching, a prediction without a score, then a box whose
+    values are not finite or whose dims are negative (predictions in
+    visit order first), then, whether or not a pass runs, the first pair
+    in (frame, visit rank, column) order degenerate in both boxes raises,
+    named by positions among the frame's objects. Every (tier,
     metric, threshold) pass is matched by one call of the split's kernel
     (:func:`_match_passes`), and the scored predictions are sorted once
     for every pass's AP.
@@ -676,16 +626,22 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     # Visit order: by frame, then descending score, then index (lexsort is stable).
     visit = np.lexsort((-np.array(scores, dtype=float), pred_frame))
     tiers = np.array([assign_difficulty(g) for g in gts], dtype=int)
-    values = _pair_overlaps(_annotation_stack([preds[e] for e in visit.tolist()]),
-                            _annotation_stack(gts), n_rows, n_cols)
-    # Plane 0 holds every NaN of plane 1 unless a dimension is negative.
-    degenerate = np.argwhere(np.isnan(values))
+    gt_frame = np.repeat(np.arange(len(frames)), n_cols)
+    values = _pair_overlaps(
+        _box_columns(_annotation_stack([preds[e] for e in visit.tolist()]),
+                     lambda i: f"frame {frames[pred_frame[visit[i]]]!r}, "
+                               f"prediction {pred_positions[visit[i]]}"),
+        _box_columns(_annotation_stack(gts), lambda g: f"frame {frames[gt_frame[g]]!r}, "
+                                                       f"ground truth {gt_positions[g]}"),
+        n_rows, n_cols)
+    # With dims >= 0, a pair degenerate in BEV is degenerate in 3D too.
+    degenerate = np.flatnonzero(np.isnan(values[0]))
     if len(degenerate):
-        k, e = degenerate[0].tolist()
-        f, local = (int(a[e]) for a in _segments(n_rows * n_cols))
+        f, local = (int(a[degenerate[0]]) for a in _segments(n_rows * n_cols))
         rank, col = divmod(local, int(n_cols[f]))
-        raise _degenerate(frames[f], pred_positions[visit[n_rows[:f].sum() + rank]],
-                          gt_positions[gt_start[f] + col], k)
+        raise ValueError(f"frame {frames[f]!r}, prediction "
+                         f"{pred_positions[visit[n_rows[:f].sum() + rank]]} and ground truth "
+                         f"{gt_positions[gt_start[f] + col]}: {_DEGENERATE[0]}")
 
     difficulties = [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD]
     n_gts = {d: int((tiers <= d).sum()) for d in difficulties}

@@ -366,6 +366,12 @@ class TestTrainToy:
             f"mono3d: --n-seeds must be at least 1, got {n_seeds}\n"
         assert not out.exists()
 
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "toy.json"
+        assert run(["train-toy", "--out", out, "--seed", "-5", "--n-seeds", "1"]) == 1
+        assert capsys.readouterr().err == "mono3d: --seed must be at least 0, got -5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("feature_dim", ["1", "0"])
     def test_feature_dim_below_two_is_input_error(self, tmp_path, capsys, feature_dim):
         out = tmp_path / "toy.json"
@@ -439,6 +445,13 @@ class TestIouOracle:
         assert run(["iou-oracle", "--out", out, "--n-pairs", n_pairs]) == 1
         assert capsys.readouterr().err == \
             f"mono3d: --n-pairs must be at least 1, got {n_pairs}\n"
+        assert not out.exists()
+
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "oracle.json"
+        assert run(["iou-oracle", "--out", out, "--seed", "-1", "--n-pairs", "1",
+                    "--n-samples", "10"]) == 1
+        assert capsys.readouterr().err == "mono3d: --seed must be at least 0, got -1\n"
         assert not out.exists()
 
 

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import make_car
 from mono3d import evaluation
-from mono3d.evaluation import (MatchResult, annotation_box3d, average_precision,
-                               bev_iou, clip_convex, evaluate_frames,
-                               filter_by_difficulty, iou_3d, localization_report,
-                               match_frame, monte_carlo_iou_3d, polygon_area,
-                               random_box_pair)
+from mono3d.evaluation import (MatchResult, average_precision, bev_iou, clip_convex,
+                               evaluate_frames, iou_3d, localization_report,
+                               monte_carlo_iou_3d, polygon_area, random_box_pair)
 from mono3d.geometry import Box3D, bev_footprint, yaw_matrix
 from mono3d.kitti_io import Difficulty, assign_difficulty
 
@@ -114,6 +112,20 @@ def reference_pair_ious(a, b):
             ratio(inter_area, area_a, area_b))
 
 
+def frame_table(preds, gts):
+    """3D (plane 0) and BEV (plane 1) IoU of every (prediction, ground
+    truth) pair of one frame, shape ``(2, len(preds), len(gts))``, from the
+    split's overlap pass."""
+    def columns(objects, side):
+        return evaluation._box_columns(evaluation._annotation_stack(objects),
+                                       lambda i: f"{side} {i}")
+
+    n_rows, n_cols = len(preds), len(gts)
+    return evaluation._pair_overlaps(columns(preds, "prediction"), columns(gts, "ground truth"),
+                                     np.array([n_rows]), np.array([n_cols])
+                                     ).reshape(2, n_rows, n_cols)
+
+
 def clip_one(subject, clip):
     """The batched clip of a single pair, as its intersection's vertices."""
     vertices, counts = clip_convex(np.asarray(subject)[None], np.asarray(clip)[None])
@@ -164,7 +176,7 @@ class TestBatchedClipOracle:
                           yaw=a.yaw) for a, _ in pairs]
         gts = [make_car(x=b.center[0], y=b.center[1], z=b.center[2], dims=b.dims,
                         yaw=b.yaw) for _, b in pairs]
-        overlaps = evaluation.frame_overlaps(preds, gts)
+        overlaps = frame_table(preds, gts)
         for n, (a, b) in enumerate(pairs):
             iou, bev = reference_pair_ious(a, b)
             assert same(overlaps[0, n, n], iou) and same(overlaps[1, n, n], bev), n
@@ -229,8 +241,8 @@ class TestBatchedClipOracle:
         cols = [random_box_pair(rng)[1] for _ in range(n_cols.sum())]
 
         def stack(boxes):
-            return evaluation._box_stack([b.center for b in boxes], [b.dims for b in boxes],
-                                         [b.yaw for b in boxes])
+            return evaluation._box_columns(evaluation._box_stack(
+                [b.center for b in boxes], [b.dims for b in boxes], [b.yaw for b in boxes]), str)
 
         values = evaluation._pair_overlaps(stack(rows), stack(cols), n_rows, n_cols)
         assert values.shape[1] == (n_rows * n_cols).sum() > evaluation._CLIP_CHUNK
@@ -250,7 +262,7 @@ class TestBatchedClipOracle:
                 for _ in range(224)]
         tracemalloc.start()
         try:
-            overlaps = evaluation.frame_overlaps(cars, cars)
+            overlaps = frame_table(cars, cars)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -335,6 +347,51 @@ class TestIou3D:
                 monte_carlo_iou_3d(a, b, n_samples=200_000, seed=k), abs=0.02)
 
 
+# Box values that no overlap and no sample can be drawn from: (centre,
+# dims, yaw) replacements of a sound Car box.
+UNSOUND = {"negated-width-and-length": {"dims": (1.52, -1.63, -3.88)},
+           "nan-width": {"dims": (1.52, math.nan, 3.88)},
+           "inf-length": {"dims": (1.52, 1.63, math.inf)},
+           "inf-centre": {"center": (math.inf, 1.6, 20.0)},
+           "nan-yaw": {"yaw": math.nan}}
+
+
+class TestBoxCheck:
+    """Every overlap path and the sampler reject a box whose values are
+    not finite or whose dims are negative, naming the box."""
+
+    sound = Box3D(center=(0.0, 1.6, 20.0), dims=(1.52, 1.63, 3.88), yaw=-1.2)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("case", UNSOUND)
+    @pytest.mark.parametrize("entry", [iou_3d, bev_iou,
+                                       lambda a, b: monte_carlo_iou_3d(a, b, n_samples=1000)],
+                             ids=["iou_3d", "bev_iou", "monte_carlo_iou_3d"])
+    def test_pair_functions(self, entry, case, side):
+        bad = dataclasses.replace(self.sound, **UNSOUND[case])
+        pair = (bad, self.sound) if side == "a" else (self.sound, bad)
+        with pytest.raises(ValueError, match=rf"^box {side}: centre, dims and yaw must be "
+                                             r"finite, dims non-negative, got "):
+            entry(*pair)
+
+    @pytest.mark.parametrize("side", ["prediction", "ground truth"])
+    @pytest.mark.parametrize("case", UNSOUND)
+    def test_evaluate_frames(self, case, side):
+        # The unsound box is object 1 of its side in frame 000004: as a
+        # prediction it is visited first, as a ground truth it is the
+        # frame's first Car; either way the error gives its file position.
+        changes = {"center": "location", "dims": "dims", "yaw": "rotation_y"}
+        bad = dataclasses.replace(make_car(score=0.8), **{changes[k]: v
+                                                          for k, v in UNSOUND[case].items()})
+        gts = [make_car(class_name="Pedestrian"), make_car()]
+        preds = [make_car(score=0.2), make_car(score=0.8)]
+        (gts if side == "ground truth" else preds)[1] = bad
+        with pytest.raises(ValueError, match=rf"^frame '000004', {side} 1: centre, dims and "
+                                             r"yaw must be finite, dims non-negative, got "):
+            evaluate_frames({"000003": [make_car()], "000004": gts},
+                            {"000003": [make_car(score=0.5)], "000004": preds})
+
+
 class TestMonteCarloIou3D:
     def test_matches_reference_on_criterion_5_pairs(self):
         rng = np.random.default_rng(5)
@@ -386,82 +443,6 @@ class TestMonteCarloIou3D:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
-
-
-class TestMatchFrame:
-    def gt(self):
-        return [make_car(x=0.0, z=10.0), make_car(x=6.0, z=30.0)]
-
-    def as_pred(self, annotations, scores):
-        preds = []
-        for a, s in zip(annotations, scores):
-            p = make_car(x=a.location[0], z=a.location[2])
-            p.score = s
-            preds.append(p)
-        return preds
-
-    def test_perfect_predictions(self):
-        gts = self.gt()
-        preds = self.as_pred(gts, [0.9, 0.8])
-        result = match_frame(preds, gts, 0.7, "3d")
-        assert len(result.pairs) == 2
-        assert result.unmatched_pred_indices == []
-        assert result.unmatched_gt_indices == []
-
-    def test_empty_predictions(self):
-        gts = self.gt()
-        result = match_frame([], gts, 0.5, "3d")
-        assert result.pairs == []
-        assert result.unmatched_gt_indices == [0, 1]
-
-    def test_higher_score_wins_contested_gt(self):
-        gts = [make_car(x=0.0, z=10.0)]
-        preds = self.as_pred([gts[0], gts[0]], [0.3, 0.8])
-        result = match_frame(preds, gts, 0.5, "bev")
-        assert result.pairs[0][0] == 1  # the 0.8-scored prediction
-        assert result.unmatched_pred_indices == [0]
-
-    def test_score_required(self):
-        gts = self.gt()
-        with pytest.raises(ValueError):
-            match_frame([gts[0]], gts, 0.5, "3d")
-
-    def test_zero_height_pair_matches_in_bev_only(self):
-        gts = [make_car(x=0.0, z=10.0, dims=(0.0, 1.63, 3.88))]
-        preds = [make_car(x=0.2, z=10.0, dims=(0.0, 1.63, 3.88), score=0.9)]
-        result = match_frame(preds, gts, 0.5, "bev")
-        assert [(i, j) for i, j, _ in result.pairs] == [(0, 0)]
-        with pytest.raises(ValueError, match="degenerate"):
-            match_frame(preds, gts, 0.5, "3d")
-
-    def test_metric_validated(self):
-        with pytest.raises(ValueError):
-            match_frame([], [], 0.5, "2d")
-
-    def test_order_independence_with_distinct_scores(self):
-        gts = self.gt()
-        preds = self.as_pred(gts, [0.9, 0.8])
-        forward = match_frame(preds, gts, 0.5, "3d")
-        backward = match_frame(preds[::-1], gts, 0.5, "3d")
-        fwd = {(preds[i].score, j) for i, j, _ in forward.pairs}
-        bwd = {(preds[::-1][i].score, j) for i, j, _ in backward.pairs}
-        assert fwd == bwd
-
-
-class TestDifficultyFilter:
-    def test_counts_on_fixture_frames(self):
-        from conftest import frame_annotations
-        frames = frame_annotations()
-        easy = sum(len(filter_by_difficulty(v, Difficulty.EASY)) for v in frames.values())
-        moderate = sum(len(filter_by_difficulty(v, Difficulty.MODERATE))
-                       for v in frames.values())
-        hard = sum(len(filter_by_difficulty(v, Difficulty.HARD)) for v in frames.values())
-        assert (easy, moderate, hard) == (3, 4, 5)
-
-    def test_excludes_other_classes(self):
-        annotations = [make_car(class_name="Pedestrian"), make_car()]
-        cars = filter_by_difficulty(annotations, Difficulty.HARD)
-        assert len(cars) == 1 and cars[0].class_name == "Car"
 
 
 def single_frame_matches(tp_flags_scores, n_gt):
@@ -579,8 +560,14 @@ class TestLocalizationReport:
             localization_report(np.zeros((0, 3)), np.zeros((0, 3)))
 
     def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ValueError, match="^got 2 predicted and 3 ground-truth centres$"):
+        with pytest.raises(ValueError, match=r"^centres must be two \(N, 3\) arrays, got \(2, 3\) "
+                                             r"predicted and \(3, 3\) ground-truth$"):
             localization_report(np.ones((2, 3)), np.ones((3, 3)))
+
+    def test_centres_not_n_by_3_rejected(self):
+        with pytest.raises(ValueError, match=r"^centres must be two \(N, 3\) arrays, got \(2, 2\) "
+                                             r"predicted and \(2, 2\) ground-truth$"):
+            localization_report(np.ones((2, 2)), np.ones((2, 2)))
 
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -650,6 +637,84 @@ class TestEvaluateFrames:
         assert report["localization"] is None
 
 
+class TestMatchFrame:
+    """Greedy matching within a frame, as evaluate_frames runs it."""
+
+    def gts(self):
+        return {"000000": [make_car(x=0.0, z=10.0), make_car(x=6.0, z=30.0)]}
+
+    def as_preds(self, gts, scores):
+        return {f: [make_car(x=a.location[0], z=a.location[2], score=s)
+                    for a, s in zip(v, scores)] for f, v in gts.items()}
+
+    def test_perfect_predictions(self):
+        gts = self.gts()
+        report = evaluate_frames(gts, self.as_preds(gts, [0.9, 0.8]), thresholds=(0.7,))
+        assert report["pr_curves"]["3d_easy_0.7"] == [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
+        assert report["localization"]["count"] == 2
+
+    def test_empty_predictions(self):
+        report = evaluate_frames(self.gts(), {}, thresholds=(0.5,))
+        assert report["n_gt"]["easy"] == 2 and report["pr_curves"]["3d_easy_0.5"] == []
+        assert report["localization"] is None
+
+    def test_higher_score_wins_contested_gt(self):
+        # The 0.8 prediction, second in the file and 0.2 m off, takes the
+        # one ground truth; the exact 0.3 one is then a false positive.
+        gts = {"000000": [make_car(x=0.0, z=10.0)]}
+        preds = {"000000": [make_car(x=0.0, z=10.0, score=0.3),
+                            make_car(x=0.2, z=10.0, score=0.8)]}
+        report = evaluate_frames(gts, preds, thresholds=(0.5,))
+        assert report["pr_curves"]["bev_easy_0.5"] == [(0.0, 1.0), (1.0, 1.0), (1.0, 0.5)]
+        assert report["localization"]["ra_u"] == 1.0 - 0.2 / 10.0
+
+    def test_score_required(self):
+        gts = {"000000": [make_car()], "000001": [make_car()]}
+        preds = {"000001": [make_car(score=0.5), make_car()]}
+        with pytest.raises(ValueError, match=r"^frame '000001', prediction 1: no score$"):
+            evaluate_frames(gts, preds)
+
+    def test_zero_height_pair_matches_in_bev_only(self):
+        # A zero height leaves the footprint whole: a flat prediction
+        # matches its ground truth in BEV and has no volume to match in 3D.
+        # Flat on both sides, the pair's 3D IoU is undefined.
+        flat = (0.0, 1.63, 3.88)
+        gts = {"000000": [make_car(x=0.0, z=10.0)]}
+        preds = {"000000": [make_car(x=0.2, z=10.0, dims=flat, score=0.9)]}
+        report = evaluate_frames(gts, preds, thresholds=(0.5,))
+        assert (report["ap_bev"]["easy"]["0.5"], report["ap_3d"]["easy"]["0.5"]) == (1.0, 0.0)
+        gts = {"000000": [make_car(x=0.0, z=10.0, dims=flat)]}
+        with pytest.raises(ValueError, match=r"^frame '000000', prediction 0 and ground "
+                                             r"truth 0: both boxes are degenerate$"):
+            evaluate_frames(gts, preds)
+
+    def test_order_independence_with_distinct_scores(self):
+        from conftest import frame_annotations
+        gts = frame_annotations()
+        preds = {f: [make_car(x=a.location[0] + 0.3, z=a.location[2], score=0.9 - 0.1 * k)
+                     for k, a in enumerate(v) if a.class_name == "Car"] for f, v in gts.items()}
+        reversed_preds = {f: v[::-1] for f, v in preds.items()}
+        assert evaluate_frames(gts, preds) == evaluate_frames(gts, reversed_preds)
+
+
+class TestDifficultyFilter:
+    def test_counts_on_fixture_frames(self):
+        # Each tier counts its own ground truths and every easier one's.
+        from conftest import frame_annotations
+        report = evaluate_frames(frame_annotations(), {})
+        assert report["n_gt"] == {"easy": 3, "moderate": 4, "hard": 5}
+
+    def test_excludes_other_classes(self):
+        # A Pedestrian ground truth is not counted, and a Pedestrian
+        # prediction on it is not scored.
+        pedestrian = make_car(class_name="Pedestrian", dims=(1.76, 0.6, 0.75))
+        gts = {"000000": [pedestrian, make_car(x=6.0)]}
+        preds = {"000000": [dataclasses.replace(pedestrian, score=0.9)]}
+        report = evaluate_frames(gts, preds, thresholds=(0.5,))
+        assert report["n_gt"] == {"easy": 1, "moderate": 1, "hard": 1}
+        assert report["pr_curves"]["3d_hard_0.5"] == [] and report["ap_3d"]["hard"]["0.5"] == 0.0
+
+
 def random_split(seed, n_frames=6):
     """Frames whose Car GTs span every tier plus ignored ones, with tied
     prediction scores and a Pedestrian row. Each frame repeats its first
@@ -687,62 +752,24 @@ def random_split(seed, n_frames=6):
     return gts, preds
 
 
-def reference_report(gts_by_frame, preds_by_frame, thresholds, ap_mode="11"):
-    """evaluate_frames assembled from public per-frame calls, one
-    match_frame per frame, tier, metric and threshold."""
-    frames = sorted(gts_by_frame)
-    report = {"class": "Car", "frames": len(frames), "n_gt": {}, "ap_3d": {},
-              "ap_bev": {}, "pr_curves": {}}
-    preds = {f: [p for p in preds_by_frame[f] if p.class_name == "Car"] for f in frames}
-    for difficulty in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
-        name = difficulty.name.lower()
-        gts = {f: filter_by_difficulty(gts_by_frame[f], difficulty) for f in frames}
-        ignored = {f: [g for g in gts_by_frame[f] if g.class_name == "Car"
-                       and assign_difficulty(g) > difficulty] for f in frames}
-        n_gt = sum(len(v) for v in gts.values())
-        report["n_gt"][name] = n_gt
-        for metric, key in (("3d", "ap_3d"), ("bev", "ap_bev")):
-            report[key][name] = {}
-            for thr in thresholds:
-                matches = [match_frame(preds[f], gts[f], thr, metric, frame=f,
-                                       ignored_gts=ignored[f]) for f in frames]
-                curve = average_precision(matches, n_gt, mode=ap_mode)
-                report[key][name][f"{thr:g}"] = curve.ap
-                report["pr_curves"][f"{metric}_{name}_{thr:g}"] = curve.points
-    pred_centers, gt_centers = [], []
-    for f in frames:
-        gts = filter_by_difficulty(gts_by_frame[f], Difficulty.HARD)
-        for i, j, _ in match_frame(preds[f], gts, min(thresholds), "3d", frame=f).pairs:
-            pred_centers.append(preds[f][i].location)
-            gt_centers.append(gts[j].location)
-    loc = localization_report(np.array(pred_centers), np.array(gt_centers))
-    report["localization"] = {
-        "iou_threshold": min(thresholds), "count": loc.count,
-        "ra_u": loc.ra_u, "ra_v": loc.ra_v, "ra_z": loc.ra_z,
-        "depth_bins": [{"lo": b.lo, "hi": b.hi, "count": b.count,
-                        "ra_u": b.ra_u, "ra_v": b.ra_v, "ra_z": b.ra_z}
-                       for b in loc.depth_bins]}
-    return report
-
-
 class TestSharedOverlaps:
     @pytest.mark.parametrize("seed", range(4))
     def test_table_equals_per_pair_functions(self, seed):
         gts_by_frame, preds_by_frame = random_split(seed)
         for frame, gts in gts_by_frame.items():
             preds = preds_by_frame[frame]
-            overlaps = evaluation.frame_overlaps(preds, gts)
+            overlaps = frame_table(preds, gts)
             assert overlaps.shape == (2, len(preds), len(gts))
             for i, p in enumerate(preds):
                 for j, g in enumerate(gts):
-                    a, b = annotation_box3d(p), annotation_box3d(g)
+                    a, b = (Box3D(o.location, o.dims, o.rotation_y) for o in (p, g))
                     assert overlaps[0, i, j] == iou_3d(a, b)
                     assert overlaps[1, i, j] == bev_iou(a, b)
 
     def test_degenerate_pairs_hold_nan(self):
         # zero volume; zero volume and footprint
         flat, thin = make_car(dims=(0.0, 1.63, 3.88)), make_car(dims=(1.52, 0.0, 3.88))
-        overlaps = evaluation.frame_overlaps([flat, thin], [flat, thin, make_car()])
+        overlaps = frame_table([flat, thin], [flat, thin, make_car()])
         np.testing.assert_allclose(overlaps, [[[np.nan, np.nan, 0.0],
                                                [np.nan, np.nan, 0.0]],
                                               [[1.0, 0.0, 1.0],
@@ -762,16 +789,6 @@ class TestSharedOverlaps:
         with pytest.raises(ValueError, match=r"^frame '000007', prediction 1 and ground "
                                              r"truth 0: both boxes are degenerate$"):
             evaluate_frames({"000007": gts}, {"000007": preds})
-
-    @pytest.mark.parametrize("seed,ap_mode", [(0, "11"), (1, "40"), (2, "11"), (3, "40")])
-    def test_report_equals_public_per_frame_assembly(self, seed, ap_mode):
-        gts, preds = random_split(seed)
-        tiers = {assign_difficulty(g) for v in gts.values() for g in v
-                 if g.class_name == "Car"}
-        assert tiers == set(Difficulty)
-        thresholds = (0.1, 0.25, 0.5, 0.7)
-        report = evaluate_frames(gts, preds, thresholds=thresholds, ap_mode=ap_mode)
-        assert report == reference_report(gts, preds, thresholds, ap_mode)
 
     def test_one_clip_per_distinct_pair(self, monkeypatch):
         gts, preds = random_split(5)
@@ -901,7 +918,7 @@ def oracle_evaluate(gts_by_frame, preds_by_frame, thresholds, ap_mode="11", over
     class_gts = {f: [gts_by_frame[f][k] for k in positions[f][1]] for f in frames}
     scores = {f: reference_frame_scores(class_preds[f], f, positions[f][0]) for f in frames}
     if overlaps is None:
-        overlaps = {f: evaluation.frame_overlaps(class_preds[f], class_gts[f]) for f in frames}
+        overlaps = {f: frame_table(class_preds[f], class_gts[f]) for f in frames}
     tiers = {f: [assign_difficulty(g) for g in class_gts[f]] for f in frames}
     passes, loc_matches = [], []
     for difficulty in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
@@ -1124,8 +1141,8 @@ class TestDegeneratePairs:
         # nothing, so its row or column is 0 or NaN throughout, and a NaN
         # footprint pair is a NaN volume pair.
         rng = np.random.default_rng(seed)
-        overlaps = evaluation.frame_overlaps([degenerate_car(rng) for _ in range(8)],
-                                             [degenerate_car(rng) for _ in range(8)])
+        overlaps = frame_table([degenerate_car(rng) for _ in range(8)],
+                               [degenerate_car(rng) for _ in range(8)])
         nan = np.isnan(overlaps)
         assert nan[0].any() and (overlaps[0] > 0).any()
         assert not (nan[1] & ~nan[0]).any()
@@ -1160,26 +1177,13 @@ class TestDegeneratePairs:
             evaluate_frames(gts, preds)
 
     def test_footprint_only_nan_is_rejected(self):
-        # Negative dims, which only API callers can pass, give a NaN
-        # footprint pair whose volume pair is 0, not NaN.
+        # Negative dims, which only API callers can pass, would give a NaN
+        # footprint pair whose volume pair is 0; the box check rejects the
+        # box itself, before any pair is clipped.
         box = make_car(dims=(-1.52, -1.63, 3.88), score=0.5)
-        overlaps = evaluation.frame_overlaps([box], [box])
-        assert overlaps[0, 0, 0] == 0.0 and np.isnan(overlaps[1, 0, 0])
-        with pytest.raises(ValueError, match=r"^frame '000000', prediction 0 and ground "
-                                             r"truth 0: both footprints are degenerate$"):
+        with pytest.raises(ValueError, match=r"^frame '000000', prediction 0: centre, dims "
+                                             r"and yaw must be finite, dims non-negative"):
             evaluate_frames({"000000": [box]}, {"000000": [box]})
-
-    def test_match_frame_checks_its_own_metric(self):
-        # A zero height leaves the footprint whole; a zero width does not.
-        flat = make_car(dims=(0.0, 1.63, 3.88), score=0.5)
-        thin = make_car(dims=(1.52, 0.0, 3.88), score=0.5)
-        assert match_frame([flat], [flat], 0.5, "bev").pairs == [(0, 0, 1.0)]
-        with pytest.raises(ValueError, match=r"^frame '', prediction 0 and ground truth 0: "
-                                             r"both boxes are degenerate$"):
-            match_frame([flat], [flat], 0.5, "3d")
-        with pytest.raises(ValueError, match=r"^frame '', prediction 0 and ground truth 1: "
-                                             r"both footprints are degenerate$"):
-            match_frame([thin], [make_car()], 0.5, "bev", ignored_gts=[thin])
 
 
 class TestPadding:
@@ -1228,16 +1232,11 @@ class TestThresholds:
         with pytest.raises(ValueError, match="threshold"):
             evaluate_frames(gts, preds, thresholds=thresholds)
 
-    @pytest.mark.parametrize("threshold", [0.0, math.nan, 1.5])
-    def test_rejected_by_match_frame(self, threshold):
-        car = make_car(score=0.5)
-        with pytest.raises(ValueError, match=r"thresholds must lie in \(0, 1\]"):
-            match_frame([car], [car], threshold)
-
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="0.5 more than once"):
             evaluation.check_thresholds((0.5, 0.50))
 
     def test_one_is_accepted(self):
         car = make_car(score=0.5)
-        assert [(i, j) for i, j, _ in match_frame([car], [car], 1.0).pairs] == [(0, 0)]
+        report = evaluate_frames({"000000": [car]}, {"000000": [car]}, thresholds=(1.0,))
+        assert report["ap_bev"]["easy"] == {"1": 1.0}

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, kitti_io, toy_trainer
+from . import evaluation, kitti_io, locality, toy_trainer
 from .losses import LossConfig
 
 EXIT_OK = 0
@@ -120,8 +120,8 @@ def build_parser() -> _Parser:
     toy.add_argument("--noise-sigma", type=float, default=0.1)
     toy.add_argument("--epochs", type=int, default=2000)
     toy.add_argument("--lr", type=float, default=1e-3)
-    toy.add_argument("--lambda", dest="lam", type=float, default=100.0)
-    toy.add_argument("--beta", type=float, default=10.0)
+    toy.add_argument("--lambda", dest="lam", type=float, default=locality.DEFAULT_LAMBDA)
+    toy.add_argument("--beta", type=float, default=locality.DEFAULT_BETA)
     toy.add_argument("--no-reg", action="store_true",
                      help="run only the unregularised arm")
 
@@ -195,6 +195,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 def cmd_eval(args) -> int:
     evaluation.check_thresholds(args.thresholds)
+    if not args.pred_dir.is_dir():
+        raise ValueError(f"--pred-dir {args.pred_dir} is not a directory")
     frames, errors = _read_split(args, args.pred_dir)
     if errors:
         raise ValueError(_located(*errors[0]))

@@ -17,12 +17,12 @@ split once, in one batched pass: the pairs of all frames are stacked and
 clipped a fixed-size chunk at a time, with the per-edge sign tests as
 array operations. A pair degenerate in both boxes (a NaN overlap) is
 rejected there, before matching. Matching then runs every difficulty
-tier, metric and threshold at once, as rank steps: the frames' overlap
-matrices, rows in visit order, are padded with -inf into blocks of
-frames, and step r matches every frame's rank-r prediction under every
-pass with one masked argmax. Average precision sorts the split's
-predictions by score once; each pass's curve is a running sum over that
-order. The localization report reads the pairs of one of those passes.
+tier, metric and threshold at once, as rank steps over the split's pairs
+sorted by the prediction's visit rank: step r matches every frame's
+rank-r prediction under every pass with a segment max and min over its
+pairs. Average precision sorts the split's predictions by score once;
+each pass's curve is a running sum over that order. The localization
+report reads the pairs of one of those passes.
 ``iou_3d`` and ``bev_iou`` are one-pair calls of the overlap pass, and
 ``average_precision`` is one pass of AP over given per-frame matches.
 Every box entering an overlap or the sampler must hold finite values
@@ -379,74 +379,11 @@ def check_thresholds(thresholds: Sequence[float]) -> None:
                          f"more than once in {thresholds}")
 
 
-# Padded (frame, prediction, ground truth) cells in one block of frames
-# that the rank steps run over: bounds the steps' arrays, so memory does
-# not grow with the split.
-_BLOCK_CELLS = 1 << 15
-
-
-def _frame_blocks(n_rows: np.ndarray, n_cols: np.ndarray) -> list[np.ndarray]:
-    """The frames that hold predictions, in blocks to be padded to one
-    shape: the block's largest prediction and ground-truth counts.
-
-    Frames are taken by descending prediction count, then ground-truth
-    count, and a block is closed before a frame that would pad it past
-    ``_BLOCK_CELLS`` cells. A crowded frame so pads only the few frames
-    that fill its block, and a frame larger than the cap is a block of
-    its own.
-    """
-    order = np.lexsort((-n_cols, -n_rows))
-    blocks: list[list[int]] = []
-    height = width = 0
-    for f, rows, cols in zip(order.tolist(), n_rows[order].tolist(),
-                             np.maximum(n_cols[order], 1).tolist()):
-        if rows == 0:
-            break
-        if not blocks or (len(blocks[-1]) + 1) * height * max(width, cols) > _BLOCK_CELLS:
-            blocks.append([])
-            height, width = rows, 0
-        blocks[-1].append(f)
-        width = max(width, cols)
-    return [np.array(b) for b in blocks]
-
-
-def _rank_steps(grid: np.ndarray, tiers: np.ndarray, passes: np.ndarray
-                ) -> tuple[np.ndarray, ...]:
-    """Greedy matching of a block of frames under every pass at once.
-
-    ``grid`` is ``(2, F, P, G)``: each frame's overlap matrix with rows in
-    visit order, padded with -inf, which neither matches nor makes a
-    prediction ignored. ``tiers`` is ``(F, G)``. ``passes`` holds one
-    (tier, metric plane, threshold) row per pass. Step ``r`` visits every
-    frame's rank-``r`` prediction under every pass: out of the pass's tier
-    and the columns taken so far, it takes the first column of highest
-    overlap, which is a match where it reaches the threshold. An unmatched
-    prediction is ignored where an out-of-tier column reaches it.
-
-    Returns, per (pass, frame, rank), the matched column or -1 and the
-    ignored flag.
-    """
-    rows = grid[passes[:, 1].astype(np.intp)]
-    threshold = passes[:, 2, None]
-    free = tiers <= passes[:, 0, None, None]
-    reaches = (rows >= threshold[..., None, None]) & ~free[:, :, None, :]
-    matched = np.full(rows.shape[:3], -1)
-    for r in range(grid.shape[2]):
-        candidates = np.where(free, rows[:, :, r], -np.inf)
-        col = candidates.argmax(axis=2)
-        hit = np.take_along_axis(candidates, col[..., None], axis=2)[..., 0] >= threshold
-        p, f = np.nonzero(hit)
-        free[p, f, col[p, f]] = False
-        matched[:, :, r] = np.where(hit, col, -1)
-    ignored = (matched < 0) & reaches.any(axis=3)
-    return matched, ignored
-
-
 def _match_passes(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray,
                   tiers: np.ndarray, passes: Sequence[tuple[int, int, float]]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy matching of a split under every pass, as rank steps over
-    padded blocks of frames (:func:`_frame_blocks`, :func:`_rank_steps`).
+    """Greedy matching of a split under every pass, as rank steps over the
+    split's pairs.
 
     ``values`` holds the frames' ``(2, n_rows, n_cols)`` overlap matrices,
     rows in visit order, each flattened row-major, end to end, with no NaN
@@ -454,29 +391,57 @@ def _match_passes(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray,
     end. A pass (tier, metric plane, threshold) matches the ground truths
     of its tier and easier; the rest are its out-of-tier columns.
 
+    The pairs are sorted stably by visit rank, so step ``r``'s pairs are
+    one slice and each rank-``r`` prediction's pairs one segment of it, in
+    column order. Step ``r`` visits every frame's rank-``r`` prediction
+    under every pass, laid out as (pair, pass): out of the pass's tier and
+    the columns taken so far, it takes the first column of highest overlap
+    (a segment max, then a segment min over the columns that reach it),
+    which is a match where it reaches the threshold. An unmatched
+    prediction is ignored where an out-of-tier column reaches it.
+
     Returns, per pass and prediction (frame by frame, in visit order), the
     matched ground truth's column in its frame or -1, and whether an
     unmatched prediction is ignored.
     """
     pass_rows = np.array(passes, dtype=float).reshape(-1, 3)
-    row_start = np.cumsum(n_rows) - n_rows
-    col_start = np.cumsum(n_cols) - n_cols
-    pair_start = np.cumsum(n_rows * n_cols) - n_rows * n_cols
+    pass_tiers, threshold = pass_rows[:, 0], pass_rows[:, 2]
+    planes = pass_rows[:, 1].astype(np.intp)
+    frame, local = _segments(n_rows * n_cols)
+    rank, col = np.divmod(local, n_cols[frame])
+    # Step r's pairs, in (frame, column) order, follow step r - 1's.
+    order = np.argsort(rank, kind="stable")
+    frame, rank, col = frame[order], rank[order], col[order]
+    gt = (np.cumsum(n_cols) - n_cols)[frame] + col
+    pair_values = values.T[order]
+    pair_tiers = tiers[gt]
+    # A segment starts where (rank, frame) changes: each segment's first pair
+    # and prediction, and the segments each step ends at.
+    heads = np.flatnonzero(np.diff(rank * len(n_rows) + frame, prepend=-1))
+    visited = (np.cumsum(n_rows) - n_rows)[frame[heads]] + rank[heads]
+    bounds = np.append(heads, len(gt))
+    lengths = np.diff(bounds)
+    step_ends = np.cumsum(np.bincount(rank[heads])).tolist()
+    del frame, local, rank, order    # the steps read none of these
+    # A pass's closed columns: out of its tier, then also taken.
+    closed = tiers[:, None] > pass_tiers
     matched = np.full((len(pass_rows), int(n_rows.sum())), -1)
     ignored = np.zeros(matched.shape, dtype=bool)
-    for block in _frame_blocks(n_rows, n_cols):
-        rows, cols = n_rows[block], n_cols[block]
-        grid = np.full((2, len(block), int(rows.max()), max(1, int(cols.max()))), -np.inf)
-        frame, local = _segments(rows * cols)
-        grid[:, frame, local // cols[frame], local % cols[frame]] = \
-            values[:, pair_start[block][frame] + local]
-        block_tiers = np.zeros((len(block), grid.shape[3]), dtype=int)
-        frame, local = _segments(cols)
-        block_tiers[frame, local] = tiers[col_start[block][frame] + local]
-        block_matched, block_ignored = _rank_steps(grid, block_tiers, pass_rows)
-        frame, rank = _segments(rows)
-        matched[:, row_start[block][frame] + rank] = block_matched[:, frame, rank]
-        ignored[:, row_start[block][frame] + rank] = block_ignored[:, frame, rank]
+    for a, b in zip([0] + step_ends, step_ends):
+        start, end = bounds[a], bounds[b]
+        starts = heads[a:b] - start
+        overlap = pair_values[start:end, planes]
+        candidates = np.where(closed[gt[start:end]], -np.inf, overlap)
+        best = np.maximum.reduceat(candidates, starts)
+        at_best = candidates == np.repeat(best, lengths[a:b], axis=0)
+        first = np.minimum.reduceat(np.where(at_best, np.arange(start, end)[:, None], end),
+                                    starts)
+        hit = best >= threshold
+        s, p = np.nonzero(hit)
+        closed[gt[first[s, p]], p] = True
+        matched[:, visited[a:b]] = np.where(hit, col[first], -1).T
+        reaches = (overlap >= threshold) & (pair_tiers[start:end, None] > pass_tiers)
+        ignored[:, visited[a:b]] = (~hit & np.logical_or.reduceat(reaches, starts)).T
     return matched, ignored
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .geometry import Box2D, inverse_project
 from .kitti_io import CameraCalibration
-from .locality import FeatureBatch, LinearHead, SimilarityGraph, check_lam, reg_trace
+from .locality import (DEFAULT_BETA, DEFAULT_LAMBDA, FeatureBatch, LinearHead,
+                       SimilarityGraph, check_lam, reg_trace)
 
 GRID_ROWS = 32
 GRID_COLS = 32
@@ -33,9 +34,9 @@ class LossConfig:
     depth), and lam (similarity depth bandwidth)."""
 
     alpha: float = 10.0
-    beta: float = 10.0
+    beta: float = DEFAULT_BETA
     gamma: float = 10.0
-    lam: float = 100.0
+    lam: float = DEFAULT_LAMBDA
 
     def __post_init__(self):
         check_lam(self.lam)

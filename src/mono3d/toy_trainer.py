@@ -60,12 +60,13 @@ _VIOLATION_BLOCK = 1 << 17
 
 
 class TrainingDiverged(RuntimeError):
-    """Objective exceeded the divergence limit; carries the last finite epoch."""
+    """Objective exceeded the divergence limit; carries the last finite epoch (-1: none)."""
 
     def __init__(self, epoch: int, context: str = ""):
         self.epoch = epoch
+        last = f"last finite epoch was {epoch}" if epoch >= 0 else "no epoch was finite"
         suffix = f" ({context})" if context else ""
-        super().__init__(f"training diverged; last finite epoch was {epoch}{suffix}")
+        super().__init__(f"training diverged; {last}{suffix}")
 
 
 @dataclass

@@ -1,8 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +168,17 @@ class TestEval:
         assert report["missing_prediction_frames"] == ["000002"]
         sidecar = tmp_path / "report.json.missing.txt"
         assert sidecar.read_text() == "000002\n"
+
+    @pytest.mark.parametrize("name", ["nonexist", "split.txt"])
+    def test_pred_dir_not_a_directory_is_input_error(self, corpus, tmp_path, capsys, name):
+        # A mistyped --pred-dir would otherwise read as a detector that
+        # found nothing: every frame missing and every AP 0.
+        pred_dir = corpus["split"].parent / name
+        args = self.eval_args(corpus, tmp_path / "report.json")
+        args[args.index("--pred-dir") + 1] = pred_dir
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"mono3d: --pred-dir {pred_dir} is not a directory\n"
+        assert not list(tmp_path.glob("report*"))
 
     def test_missing_gt_frame_is_fatal(self, tmp_path):
         corpus = write_corpus(tmp_path / "data")
@@ -461,6 +474,28 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert run(["eval"]) == 1
+
+
+class TestReadme:
+    def readme_flags(self):
+        """Each subcommand of README's CLI block, with the --flags its
+        usage lines show."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+        flags: dict[str, set[str]] = {}
+        for line in block.splitlines():
+            if line.startswith("mono3d "):
+                command = flags.setdefault(line.split()[1], set())
+            command.update(re.findall(r"--[a-z][a-z0-9-]*", line))
+        return flags
+
+    def test_cli_block_shows_every_flag_the_parser_accepts(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        accepted = {name: {o for a in parser._actions for o in a.option_strings
+                           if o.startswith("--") and o != "--help"}
+                    for name, parser in sub.choices.items()}
+        assert self.readme_flags() == accepted
 
 
 class TestModuleEntry:

@@ -1094,13 +1094,6 @@ class TestMatchingKernel:
         gts, preds, overlaps = crafted_split(rows, tiers)
         assert_kernel_equals_oracle(monkeypatch, gts, preds, WIDE, overlaps=overlaps)
 
-    def test_blocks_do_not_change_the_result(self, monkeypatch):
-        # A cap of one cell puts every frame in a block of its own.
-        gts, preds = random_split(3, n_frames=12)
-        expected = evaluate_frames(gts, preds, thresholds=WIDE)
-        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 1)
-        assert evaluate_frames(gts, preds, thresholds=WIDE) == expected
-
     def test_only_out_of_tier_ground_truth(self, monkeypatch):
         # No tier holds a ground truth: no pass runs, and every AP is None.
         gts = {"000000": [tiered_car(Difficulty.IGNORED)]}
@@ -1151,8 +1144,7 @@ class TestDegeneratePairs:
                                     plane[:, holes.any(axis=0)].ravel()])
             assert (np.isnan(lines) | (lines == 0.0)).all()
 
-    @pytest.mark.parametrize("block_cells", [None, 1])
-    def test_nans_in_two_frames_name_the_lower_frame(self, monkeypatch, block_cells):
+    def test_nans_in_two_frames_name_the_lower_frame(self):
         # Frame 000003 holds a degenerate pair at rank 0, frame 000001 only
         # at rank 1, behind a match.
         flat = (0.0, 1.63, 3.88)
@@ -1160,8 +1152,6 @@ class TestDegeneratePairs:
                "000003": [make_car(dims=flat)]}
         preds = {"000001": [make_car(x=-3.0, score=0.9), make_car(x=3.0, dims=flat, score=0.5)],
                  "000003": [make_car(dims=flat, score=0.9)]}
-        if block_cells is not None:
-            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", block_cells)
         with pytest.raises(ValueError, match=r"^frame '000001', prediction 1 and ground "
                                              r"truth 1: both boxes are degenerate$"):
             evaluate_frames(gts, preds)

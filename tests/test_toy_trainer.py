@@ -449,6 +449,15 @@ class TestStackedTraining:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "toy.json").exists()
 
+    def test_divergence_at_epoch_zero_names_no_epoch(self, tmp_path, capsys):
+        # beta = 1e308 overflows the regulariser on the first epoch.
+        code = cli.main(["train-toy", "--out", str(tmp_path / "toy.json"), "--beta", "1e308",
+                         "--n-seeds", "1", "--epochs", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "train-toy: training diverged; no epoch was finite (regularized arm, seed 1)\n")
+        assert not (tmp_path / "toy.json").exists()
+
     def test_no_runs(self):
         out = run_paired_experiment([], LossConfig())
         assert out == {"reports": {"regularized": [], "unregularized": []},

@@ -12,21 +12,22 @@ recall grid (11-point by default, 40-point optional). Localization
 quality is reported as per-coordinate relative accuracy, optionally
 binned by depth.
 
-A split evaluation clips every (prediction, ground truth) pair of the
-split once, in one batched pass: the pairs of all frames are stacked and
-clipped a fixed-size chunk at a time, with the per-edge sign tests as
-array operations. A pair degenerate in both boxes (a NaN overlap) is
-rejected there, before matching. Matching then runs every difficulty
-tier, metric and threshold at once, as rank steps over the split's pairs
-sorted by the prediction's visit rank: step r matches every frame's
-rank-r prediction under every pass with a segment max and min over its
-pairs. Average precision sorts the split's predictions by score once;
-each pass's curve is a running sum over that order. The localization
-report reads the pairs of one of those passes.
+A split evaluation lays the split out once: one checked box stack per
+side, and one pair index that lists the (prediction, ground truth) pairs
+frame by frame, each frame's matrix row-major, with each pair's frame,
+visit rank, prediction row and ground-truth index. The clip gathers the
+pairs' boxes by that index a fixed-size chunk at a time, with the
+per-edge sign tests as array operations; a pair degenerate in both boxes
+(a NaN overlap) is rejected there. Matching runs every difficulty tier,
+metric and threshold at once, as rank steps over the pairs sorted by
+visit rank, each step a segment max and min per prediction. Average
+precision sorts the split's predictions by score once; each pass's curve
+is a running sum over that order. The localization report reads one
+pass's matched centres from the two stacks.
 ``iou_3d`` and ``bev_iou`` are one-pair calls of the overlap pass, and
 ``average_precision`` is one pass of AP over given per-frame matches.
-Every box entering an overlap or the sampler must hold finite values
-and non-negative dims.
+Every box entering an overlap or the sampler goes through one check:
+finite values, non-negative dims, a finite footprint area and volume.
 """
 
 from __future__ import annotations
@@ -189,38 +190,34 @@ _DEGENERATE = ("both boxes are degenerate", "both footprints are degenerate")
 _CLIP_CHUNK = 2048
 
 
-def _box_stack(centers, dims, yaws) -> Box3D:
-    """One stacked :class:`Box3D` of per-box centres, dims and yaws."""
-    return Box3D(np.array(centers, dtype=float).reshape(-1, 3),
-                 np.array(dims, dtype=float).reshape(-1, 3), np.array(yaws, dtype=float))
-
-
-def _annotation_stack(annotations: Sequence[ObjectAnnotation]) -> Box3D:
-    """The boxes of the annotations (location, dims, rotation_y), as one stack."""
-    return _box_stack([a.location for a in annotations], [a.dims for a in annotations],
-                      [a.rotation_y for a in annotations])
-
-
-def _check_boxes(boxes: Box3D, name: Callable[[int], str]) -> None:
-    """Reject the first box of a stack whose centre, dims or yaw is not
-    finite or whose dims are negative, naming it ``name(index)``."""
-    sound = (np.isfinite(boxes.center).all(axis=1) & np.isfinite(boxes.yaw)
-             & ((boxes.dims >= 0) & (boxes.dims < math.inf)).all(axis=1))
-    if not sound.all():
-        i = int(np.argmin(sound))
-        raise ValueError(f"{name(i)}: centre, dims and yaw must be finite, dims non-negative, got "
-                         f"centre {tuple(boxes.center[i].tolist())}, dims "
-                         f"{tuple(boxes.dims[i].tolist())}, yaw {boxes.yaw[i]}")
+def _box_stack(triples: Iterable[tuple]) -> Box3D:
+    """One stacked :class:`Box3D` of (centre, dims, yaw) triples."""
+    table = np.array([(*c, *d, y) for c, d, y in triples], dtype=float).reshape(-1, 7)
+    return Box3D(table[:, :3], table[:, 3:6], table[:, 6])
 
 
 def _box_columns(boxes: Box3D, name: Callable[[int], str]) -> tuple[np.ndarray, ...]:
-    """Per-box arrays of a stack, checked by :func:`_check_boxes`: BEV
-    footprints ``(B, 4, 2)``, their signed areas, bottom-face heights
-    ``y`` and box heights ``h``."""
-    _check_boxes(boxes, name)
-    footprints = bev_footprint(boxes)
-    return (footprints, polygon_area(footprints, np.full(len(footprints), 4)),
-            boxes.center[:, 1], boxes.dims[:, 0])
+    """Per-box arrays of a stack: BEV footprints ``(B, 4, 2)``, their signed
+    areas, bottom-face heights ``y`` and box heights ``h``.
+
+    Rejects the first box whose centre, dims or yaw is not finite or whose
+    dims are negative, then the first whose footprint area or volume
+    (area times h) is not finite, naming it ``name(index)``."""
+    def check(sound: np.ndarray, rule: str) -> None:
+        if not sound.all():
+            i = int(np.argmin(sound))
+            raise ValueError(f"{name(i)}: {rule}, got centre {tuple(boxes.center[i].tolist())}, "
+                             f"dims {tuple(boxes.dims[i].tolist())}, yaw {boxes.yaw[i]}")
+
+    check(np.isfinite(boxes.center).all(axis=1) & np.isfinite(boxes.yaw)
+          & ((boxes.dims >= 0) & (boxes.dims < math.inf)).all(axis=1),
+          "centre, dims and yaw must be finite, dims non-negative")
+    # Finite values can still overflow: the check below catches it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        footprints = bev_footprint(boxes)
+        area = polygon_area(footprints, np.full(len(footprints), 4))
+        check(np.isfinite(area * boxes.dims[:, 0]), "footprint area and volume must be finite")
+    return footprints, area, boxes.center[:, 1], boxes.dims[:, 0]
 
 
 def _ratio(num: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:
@@ -235,28 +232,15 @@ def _ratio(num: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarra
     return out
 
 
-def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For segments of ``counts`` elements laid end to end: each element's
-    segment, and its position within it."""
-    segment = np.repeat(np.arange(len(counts)), counts)
-    return segment, np.arange(len(segment)) - (np.cumsum(counts) - counts)[segment]
-
-
 def _pair_overlaps(row_boxes: tuple[np.ndarray, ...], col_boxes: tuple[np.ndarray, ...],
-                   n_rows: np.ndarray, n_cols: np.ndarray) -> np.ndarray:
-    """3D and BEV IoU of every (row box, column box) pair of many frames,
-    shape ``(2, sum(n_rows * n_cols))``: frame by frame, each frame's
-    ``(n_rows, n_cols)`` matrix row-major. The two sides are
-    :func:`_box_columns` of stacks that hold the frames' boxes end to end.
-    Every pair is clipped in one batched pass, with the row box as the
-    subject. A pair holds NaN under a metric where both boxes are
-    degenerate (zero area or volume)."""
-    frame_of, local = _segments(n_rows * n_cols)
-    pair_rows = (np.cumsum(n_rows) - n_rows)[frame_of] + local // n_cols[frame_of]
-    pair_cols = (np.cumsum(n_cols) - n_cols)[frame_of] + local % n_cols[frame_of]
-
-    values = np.empty((2, len(local)))
-    for start in range(0, len(local), _CLIP_CHUNK):
+                   pair_rows: Sequence[int], pair_cols: Sequence[int]) -> np.ndarray:
+    """3D and BEV IoU of the (row box, column box) pairs ``(pair_rows[k],
+    pair_cols[k])``, shape ``(2, len(pair_rows))``. The two sides are
+    :func:`_box_columns` of box stacks. Every pair is clipped in one
+    batched pass, with the row box as the subject. A pair holds NaN under
+    a metric where both boxes are degenerate (zero area or volume)."""
+    values = np.empty((2, len(pair_rows)))
+    for start in range(0, len(pair_rows), _CLIP_CHUNK):
         chunk = slice(start, start + _CLIP_CHUNK)
         footprint_a, area_a, y_a, h_a = (c[pair_rows[chunk]] for c in row_boxes)
         footprint_b, area_b, y_b, h_b = (c[pair_cols[chunk]] for c in col_boxes)
@@ -270,17 +254,15 @@ def _pair_overlaps(row_boxes: tuple[np.ndarray, ...], col_boxes: tuple[np.ndarra
     return values
 
 
-def _one_box(box: Box3D, name: str) -> tuple[Box3D, Callable[[int], str]]:
-    """A box as a stack of one, and its name in errors."""
-    return _box_stack([box.center], [box.dims], [box.yaw]), lambda _: name
+def _pair_columns(a: Box3D, b: Box3D) -> list[tuple[np.ndarray, ...]]:
+    """:func:`_box_columns` of each box as a stack of one, named ``box a`` or ``box b``."""
+    return [_box_columns(_box_stack([(box.center, box.dims, box.yaw)]), lambda _: name)
+            for box, name in ((a, "box a"), (b, "box b"))]
 
 
 def _one_pair(a: Box3D, b: Box3D, metric: str) -> float:
     k = _METRICS[metric]
-    rows, cols = (_box_columns(*_one_box(box, name))
-                  for box, name in ((a, "box a"), (b, "box b")))
-    one = np.array([1])
-    value = float(_pair_overlaps(rows, cols, one, one)[k, 0])
+    value = float(_pair_overlaps(*_pair_columns(a, b), [0], [0])[k, 0])
     if math.isnan(value):
         raise ValueError(_DEGENERATE[k])
     return value
@@ -318,8 +300,7 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    for box, name in ((a, "box a"), (b, "box b")):
-        _check_boxes(*_one_box(box, name))
+    _pair_columns(a, b)
     ha, wa, la = a.dims
     hb, wb, lb = b.dims
     vol_a = ha * wa * la
@@ -379,53 +360,53 @@ def check_thresholds(thresholds: Sequence[float]) -> None:
                          f"more than once in {thresholds}")
 
 
-def _match_passes(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray,
-                  tiers: np.ndarray, passes: Sequence[tuple[int, int, float]]
+def _match_passes(values: np.ndarray, row: np.ndarray, rank: np.ndarray, gt: np.ndarray,
+                  tiers: np.ndarray, n_preds: int, passes: Sequence[tuple[int, int, float]]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy matching of a split under every pass, as rank steps over the
     split's pairs.
 
-    ``values`` holds the frames' ``(2, n_rows, n_cols)`` overlap matrices,
-    rows in visit order, each flattened row-major, end to end, with no NaN
-    in a pass's plane; ``tiers`` the frames' ground-truth tiers, end to
-    end. A pass (tier, metric plane, threshold) matches the ground truths
-    of its tier and easier; the rest are its out-of-tier columns.
+    ``values`` holds the overlaps of the split's pairs, one column per
+    pair, with no NaN in a pass's plane. Pair ``k`` joins prediction
+    ``row[k]`` (its index among the split's ``n_preds`` predictions in
+    visit order), visited at rank ``rank[k]`` in its frame, with ground
+    truth ``gt[k]`` (its index in the split). The pairs come frame by
+    frame, each frame's in (rank, ground truth) order. ``tiers`` holds the
+    split's ground-truth tiers. A pass (tier, metric plane, threshold)
+    matches the ground truths of its tier and easier; the rest are its
+    out-of-tier columns.
 
-    The pairs are sorted stably by visit rank, so step ``r``'s pairs are
-    one slice and each rank-``r`` prediction's pairs one segment of it, in
-    column order. Step ``r`` visits every frame's rank-``r`` prediction
-    under every pass, laid out as (pair, pass): out of the pass's tier and
-    the columns taken so far, it takes the first column of highest overlap
-    (a segment max, then a segment min over the columns that reach it),
-    which is a match where it reaches the threshold. An unmatched
-    prediction is ignored where an out-of-tier column reaches it.
+    The pairs are sorted stably by rank, so step ``r``'s pairs are one
+    slice, and a segment, one rank-``r`` prediction's pairs in column
+    order, starts wherever ``row`` changes. Step ``r`` visits every
+    frame's rank-``r`` prediction under every pass, laid out as (pair,
+    pass): out of the pass's tier and the columns taken so far, it takes
+    the first column of highest overlap (a segment max, then a segment
+    min over the columns that reach it), which is a match where it
+    reaches the threshold. An unmatched prediction is ignored where an
+    out-of-tier column reaches it.
 
-    Returns, per pass and prediction (frame by frame, in visit order), the
-    matched ground truth's column in its frame or -1, and whether an
-    unmatched prediction is ignored.
+    Returns, per pass and prediction row, the matched ground truth's
+    index in the split or -1, and whether an unmatched prediction is
+    ignored.
     """
     pass_rows = np.array(passes, dtype=float).reshape(-1, 3)
     pass_tiers, threshold = pass_rows[:, 0], pass_rows[:, 2]
     planes = pass_rows[:, 1].astype(np.intp)
-    frame, local = _segments(n_rows * n_cols)
-    rank, col = np.divmod(local, n_cols[frame])
     # Step r's pairs, in (frame, column) order, follow step r - 1's.
     order = np.argsort(rank, kind="stable")
-    frame, rank, col = frame[order], rank[order], col[order]
-    gt = (np.cumsum(n_cols) - n_cols)[frame] + col
+    row, rank, gt = row[order], rank[order], gt[order]
     pair_values = values.T[order]
     pair_tiers = tiers[gt]
-    # A segment starts where (rank, frame) changes: each segment's first pair
-    # and prediction, and the segments each step ends at.
-    heads = np.flatnonzero(np.diff(rank * len(n_rows) + frame, prepend=-1))
-    visited = (np.cumsum(n_rows) - n_rows)[frame[heads]] + rank[heads]
+    # Each segment's first pair, and the segments each step ends at.
+    heads = np.flatnonzero(np.diff(row, prepend=-1))
+    visited = row[heads]
     bounds = np.append(heads, len(gt))
     lengths = np.diff(bounds)
     step_ends = np.cumsum(np.bincount(rank[heads])).tolist()
-    del frame, local, rank, order    # the steps read none of these
     # A pass's closed columns: out of its tier, then also taken.
     closed = tiers[:, None] > pass_tiers
-    matched = np.full((len(pass_rows), int(n_rows.sum())), -1)
+    matched = np.full((len(pass_rows), n_preds), -1)
     ignored = np.zeros(matched.shape, dtype=bool)
     for a, b in zip([0] + step_ends, step_ends):
         start, end = bounds[a], bounds[b]
@@ -439,7 +420,7 @@ def _match_passes(values: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray,
         hit = best >= threshold
         s, p = np.nonzero(hit)
         closed[gt[first[s, p]], p] = True
-        matched[:, visited[a:b]] = np.where(hit, col[first], -1).T
+        matched[:, visited[a:b]] = np.where(hit, gt[first], -1).T
         reaches = (overlap >= threshold) & (pair_tiers[start:end, None] > pass_tiers)
         ignored[:, visited[a:b]] = (~hit & np.logical_or.reduceat(reaches, starts)).T
     return matched, ignored
@@ -543,14 +524,13 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     """Full split evaluation: AP tables per metric/difficulty/threshold
     plus a localization report over matched pairs.
 
-    Before matching, a prediction without a score, then a box whose
-    values are not finite or whose dims are negative (predictions in
-    visit order first), then, whether or not a pass runs, the first pair
-    in (frame, visit rank, column) order degenerate in both boxes raises,
-    named by positions among the frame's objects. Every (tier,
-    metric, threshold) pass is matched by one call of the split's kernel
-    (:func:`_match_passes`), and the scored predictions are sorted once
-    for every pass's AP.
+    Before matching, a prediction without a score, then a box that fails
+    :func:`_box_columns`' check (predictions in visit order first), then,
+    whether or not a pass runs, the first pair in (frame, visit rank,
+    column) order degenerate in both boxes raises, named by positions
+    among the frame's objects. Every (tier, metric, threshold) pass is
+    matched by one call of the split's kernel (:func:`_match_passes`), and
+    the scored predictions are sorted once for every pass's AP.
 
     Localization pairs come from 3D matching at the lowest threshold with
     the most inclusive difficulty filter: they are read from the hard
@@ -582,7 +562,6 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     preds, pred_positions, n_rows = of_class(preds_by_frame)
     gts, gt_positions, n_cols = of_class(gts_by_frame)
     pred_frame = np.repeat(np.arange(len(frames)), n_rows)
-    gt_start = np.cumsum(n_cols) - n_cols
     scores = [p.score for p in preds]
     if None in scores:
         e = scores.index(None)
@@ -592,27 +571,36 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     visit = np.lexsort((-np.array(scores, dtype=float), pred_frame))
     tiers = np.array([assign_difficulty(g) for g in gts], dtype=int)
     gt_frame = np.repeat(np.arange(len(frames)), n_cols)
+    pred_boxes = _box_stack((preds[e].location, preds[e].dims, preds[e].rotation_y)
+                            for e in visit.tolist())
+    gt_boxes = _box_stack((g.location, g.dims, g.rotation_y) for g in gts)
+    # The pair index: frame by frame, each frame's (prediction, ground
+    # truth) matrix row-major. Per pair: its frame, its prediction's visit
+    # rank and row (index in visit order), its ground truth's index.
+    n_pairs = n_rows * n_cols
+    frame = np.repeat(np.arange(len(frames)), n_pairs)
+    rank, col = np.divmod(np.arange(len(frame)) - (np.cumsum(n_pairs) - n_pairs)[frame],
+                          n_cols[frame])
+    row = (np.cumsum(n_rows) - n_rows)[frame] + rank
+    gt = (np.cumsum(n_cols) - n_cols)[frame] + col
     values = _pair_overlaps(
-        _box_columns(_annotation_stack([preds[e] for e in visit.tolist()]),
-                     lambda i: f"frame {frames[pred_frame[visit[i]]]!r}, "
-                               f"prediction {pred_positions[visit[i]]}"),
-        _box_columns(_annotation_stack(gts), lambda g: f"frame {frames[gt_frame[g]]!r}, "
-                                                       f"ground truth {gt_positions[g]}"),
-        n_rows, n_cols)
+        _box_columns(pred_boxes, lambda i: f"frame {frames[pred_frame[visit[i]]]!r}, "
+                                           f"prediction {pred_positions[visit[i]]}"),
+        _box_columns(gt_boxes, lambda g: f"frame {frames[gt_frame[g]]!r}, "
+                                         f"ground truth {gt_positions[g]}"),
+        row, gt)
     # With dims >= 0, a pair degenerate in BEV is degenerate in 3D too.
     degenerate = np.flatnonzero(np.isnan(values[0]))
     if len(degenerate):
-        f, local = (int(a[degenerate[0]]) for a in _segments(n_rows * n_cols))
-        rank, col = divmod(local, int(n_cols[f]))
-        raise ValueError(f"frame {frames[f]!r}, prediction "
-                         f"{pred_positions[visit[n_rows[:f].sum() + rank]]} and ground truth "
-                         f"{gt_positions[gt_start[f] + col]}: {_DEGENERATE[0]}")
+        d = degenerate[0]
+        raise ValueError(f"frame {frames[frame[d]]!r}, prediction {pred_positions[visit[row[d]]]} "
+                         f"and ground truth {gt_positions[gt[d]]}: {_DEGENERATE[0]}")
 
     difficulties = [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD]
     n_gts = {d: int((tiers <= d).sum()) for d in difficulties}
     passes = [(int(d), _METRICS[metric], thr) for d in difficulties if n_gts[d]
               for metric in _METRICS for thr in thresholds]
-    matched, ignored = _match_passes(values, n_rows, n_cols, tiers, passes)
+    matched, ignored = _match_passes(values, row, rank, gt, tiers, len(preds), passes)
 
     # One sort scores every pass: entries are frame by frame in visit
     # order, so a stable sort by descending score orders them by (score,
@@ -640,16 +628,15 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     if not n_gts[Difficulty.HARD]:
         return report
     loc = matched[passes.index((int(Difficulty.HARD), _METRICS["3d"], loc_threshold))]
-    entries = np.flatnonzero(loc >= 0)
-    if not len(entries):
+    rows = np.flatnonzero(loc >= 0)
+    if not len(rows):
         return report
-    pred_index = visit[entries]
-    gt_index = gt_start[pred_frame[pred_index]] + loc[entries]
-    for e, g in zip(pred_index.tolist(), gt_index.tolist()):
-        if gts[g].location[2] <= 0:
-            raise ValueError(f"frame {frames[pred_frame[e]]!r}, ground truth "
-                             f"{gt_positions[g]}: depth {gts[g].location[2]:g} is not positive")
-    loc = localization_report(np.array([preds[e].location for e in pred_index.tolist()]),
-                              np.array([gts[g].location for g in gt_index.tolist()]))
+    located = gt_boxes.center[loc[rows]]
+    shallow = np.flatnonzero(located[:, 2] <= 0)
+    if len(shallow):
+        g = loc[rows[shallow[0]]]
+        raise ValueError(f"frame {frames[gt_frame[g]]!r}, ground truth {gt_positions[g]}: "
+                         f"depth {located[shallow[0], 2]:g} is not positive")
+    loc = localization_report(pred_boxes.center[rows], located)
     report["localization"] = {"iou_threshold": loc_threshold, **asdict(loc)}
     return report

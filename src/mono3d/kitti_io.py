@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -244,11 +245,15 @@ def assign_difficulty(a: ObjectAnnotation) -> Difficulty:
 
 
 def read_split_file(text: str) -> list[str]:
-    """Frame ids, one per line, blank lines skipped. A repeated id raises,
-    naming both of its lines (counted from 1)."""
+    """Frame ids, one per line, blank lines skipped. An id that would leave
+    its directory (``.``, ``..``, or any holding a path separator) raises,
+    as does a repeated id, naming its lines (counted from 1)."""
     first_line: dict[str, int] = {}
     for line_number, line in enumerate(text.splitlines(), start=1):
         frame = line.strip()
+        if frame in (".", "..") or "/" in frame or os.sep in frame:
+            raise ValueError(f"split line {line_number}: frame {frame!r} must name a file "
+                             "in its directory: no path separator, '.' or '..'")
         if frame in first_line:
             raise ValueError(f"split line {line_number}: frame {frame!r} is already "
                              f"listed on line {first_line[frame]}")

@@ -227,10 +227,11 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     buffers are allocated once per call, and every epoch writes into
     them through ``out=`` and in-place operators: the same ufuncs on the
     same operands in the same order as the expressions they replace. The
-    data term of every epoch is kept, and each run's first epoch under
-    tolerance is found after the loop. Heads, loss curves and reports are
-    therefore bitwise those of training the runs one after another, in
-    the order given. That order also settles divergence: when run k is
+    state the last update leaves is tested for divergence as every
+    epoch's is, and each run's first state under tolerance is read from
+    the kept data terms after the loop. Heads, loss curves and reports
+    are therefore bitwise those of training the runs one after another,
+    in the order given. That order also settles divergence: when run k is
     the earliest to diverge in an epoch, runs 0..k-1 are retrained as a
     stack of their own, and :class:`TrainingDiverged` names run k if they
     all finish. Otherwise the retrain raises for the earliest of them
@@ -249,9 +250,11 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     scenes = [runs[k].scene for k in rank]
     n_reg = sum(runs[k].use_regularizer for k in rank)
     # Only the regulariser reads the graph, and only through X P X^T; each
-    # graph is dropped as soon as its product is taken.
-    xpxt = np.stack([s.features @ build_graph(s.batch(), cfg.lam).p @ s.features.T
-                     for s in scenes[:n_reg]]) if n_reg else None
+    # graph is dropped as soon as its product is taken. An overflow here or
+    # in the loop reaches an objective, which the divergence test rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xpxt = np.stack([s.features @ build_graph(s.batch(), cfg.lam).p @ s.features.T
+                         for s in scenes[:n_reg]]) if n_reg else None
     x = np.stack([s.features for s in scenes])
     gt = np.stack([s.gt for s in scenes])
     m = gt.shape[2]
@@ -270,45 +273,51 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     grad_w = np.empty_like(w)
     grad_b = np.empty_like(b)
     xt = x.transpose(0, 2, 1)
-    data = np.empty((len(rank), epochs))     # the data term, per run and epoch
-    curves = np.empty((len(rank), epochs))   # the objective, per run and epoch
+    # The data term and the objective, per run and state: the state after
+    # the last update goes through the divergence test as every epoch's.
+    data = np.empty((len(rank), epochs + 1))
+    curves = np.empty((len(rank), epochs + 1))
     step = lr
-    for epoch in range(epochs):
-        np.matmul(w, x, out=residual)
-        residual += b[:, :, None]
-        residual -= gt
-        np.abs(residual, out=abs_residual)
-        objective = abs_residual.reshape(len(rank), -1).sum(axis=1)
-        data[:, epoch] = objective
-        if n_reg:
-            reg, reg_grad = quadratic_form(w[:n_reg], xpxt, cfg.beta)
-            objective[:n_reg] += reg
-        bad = ~np.isfinite(objective) | (objective > DIVERGENCE_LIMIT)
-        if bad.any():
-            # Run by run, the runs before the earliest bad one would have
-            # trained first; retraining them alone repeats them bit for bit,
-            # so any of them that diverges later raises from in there.
-            first = int(rank[bad].min())
-            _train_runs(runs[:first], cfg, lr, epochs)
-            raise TrainingDiverged(epoch - 1, runs[first].context)
-        curves[:, epoch] = objective
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs + 1):
+            np.matmul(w, x, out=residual)
+            residual += b[:, :, None]
+            residual -= gt
+            np.abs(residual, out=abs_residual)
+            objective = abs_residual.reshape(len(rank), -1).sum(axis=1)
+            data[:, epoch] = objective
+            if n_reg:
+                reg, reg_grad = quadratic_form(w[:n_reg], xpxt, cfg.beta)
+                objective[:n_reg] += reg
+            bad = ~np.isfinite(objective) | (objective > DIVERGENCE_LIMIT)
+            if bad.any():
+                # Run by run, the runs before the earliest bad one would have
+                # trained first; retraining them alone repeats them bit for bit,
+                # so any of them that diverges later raises from in there.
+                first = int(rank[bad].min())
+                _train_runs(runs[:first], cfg, lr, epochs)
+                raise TrainingDiverged(epoch - 1, runs[first].context)
+            curves[:, epoch] = objective
+            if epoch == epochs:
+                break
 
-        np.sign(residual, out=sign)
-        np.matmul(sign, xt, out=grad_w)
-        sign.sum(axis=2, out=grad_b)
-        if n_reg:
-            grad_w[:n_reg] += reg_grad
-        vel_w *= MOMENTUM
-        grad_w *= step
-        vel_w -= grad_w
-        vel_b *= MOMENTUM
-        grad_b *= step
-        vel_b -= grad_b
-        w += vel_w
-        b += vel_b
-        step *= LR_DECAY
+            np.sign(residual, out=sign)
+            np.matmul(sign, xt, out=grad_w)
+            sign.sum(axis=2, out=grad_b)
+            if n_reg:
+                grad_w[:n_reg] += reg_grad
+            vel_w *= MOMENTUM
+            grad_w *= step
+            vel_w -= grad_w
+            vel_b *= MOMENTUM
+            grad_b *= step
+            vel_b -= grad_b
+            w += vel_w
+            b += vel_b
+            step *= LR_DECAY
 
-    # epoch of each run's first tolerance hit, -1 if it never hit
+    # each run's first state under tolerance (the final one is state
+    # `epochs`), -1 if none is
     hit = data / m < TOLERANCE_L1
     reached = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
@@ -319,14 +328,12 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
         head = LinearHead(w=w[slot].copy(), b=b[slot].copy())
         final_l1 = float(np.abs(head.predict(scene.features) - scene.gt).sum()) / m
         epochs_to_tolerance = int(reached[slot]) if reached[slot] >= 0 else None
-        if epochs_to_tolerance is None and final_l1 < TOLERANCE_L1:
-            epochs_to_tolerance = epochs
         report = TrainReport(
             epochs_to_tolerance=epochs_to_tolerance,
             final_l1=final_l1,
             neighbor_order_violations=neighbor_order_violations(
                 head, scene.validation_view(), cfg.lam),
-            loss_curve=curves[slot].tolist(),
+            loss_curve=curves[slot, :epochs].tolist(),
             config={
                 "n_objects": m,
                 "feature_dim": int(x.shape[1]),

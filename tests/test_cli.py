@@ -249,6 +249,34 @@ class TestEval:
                                            "already listed on line 1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    def test_split_id_outside_its_directory_is_input_error(self, corpus, tmp_path, capsys,
+                                                           command):
+        corpus["split"].write_text("000000\n../label_2/000001\n")
+        out = tmp_path / "report.json"
+        args = self.eval_args(corpus, out) if command == "eval" else [
+            "validate", "--gt-dir", corpus["gt"], "--calib-dir", corpus["calib"],
+            "--split", corpus["split"], "--out", out]
+        assert run(args) == 1
+        assert capsys.readouterr().err == ("mono3d: split line 2: frame '../label_2/000001' "
+                                           "must name a file in its directory: no path "
+                                           "separator, '.' or '..'\n")
+        assert not out.exists()
+
+    def test_overflowing_box_is_located(self, corpus, tmp_path, capsys):
+        # A finite depth of 1e308 overflows the footprint's area.
+        path = corpus["gt"] / "000001.txt"
+        lines = path.read_text().splitlines()
+        tokens = lines[0].split()
+        tokens[13] = "1e308"
+        path.write_text("".join(line + "\n" for line in [" ".join(tokens), *lines[1:]]))
+        out = tmp_path / "report.json"
+        assert run(self.eval_args(corpus, out)) == 1
+        assert capsys.readouterr().err.startswith(
+            "mono3d: frame '000001', ground truth 0: footprint area and volume must be "
+            "finite, got centre (3.2, 1.6, 1e+308), dims (1.52, 1.63, 3.88), yaw ")
+        assert not out.exists()
+
     def test_non_finite_calibration_is_input_error(self, corpus, tmp_path, capsys):
         (corpus["calib"] / "000002.txt").write_text("P2: nan 0 600 0 0 700 170 0 0 0 1 0\n")
         out = tmp_path / "report.json"

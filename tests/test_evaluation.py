@@ -117,13 +117,13 @@ def frame_table(preds, gts):
     truth) pair of one frame, shape ``(2, len(preds), len(gts))``, from the
     split's overlap pass."""
     def columns(objects, side):
-        return evaluation._box_columns(evaluation._annotation_stack(objects),
-                                       lambda i: f"{side} {i}")
+        return evaluation._box_columns(
+            evaluation._box_stack((a.location, a.dims, a.rotation_y) for a in objects),
+            lambda i: f"{side} {i}")
 
-    n_rows, n_cols = len(preds), len(gts)
+    rows, cols = np.indices((len(preds), len(gts))).reshape(2, -1)
     return evaluation._pair_overlaps(columns(preds, "prediction"), columns(gts, "ground truth"),
-                                     np.array([n_rows]), np.array([n_cols])
-                                     ).reshape(2, n_rows, n_cols)
+                                     rows, cols).reshape(2, len(preds), len(gts))
 
 
 def clip_one(subject, clip):
@@ -241,13 +241,16 @@ class TestBatchedClipOracle:
         cols = [random_box_pair(rng)[1] for _ in range(n_cols.sum())]
 
         def stack(boxes):
-            return evaluation._box_columns(evaluation._box_stack(
-                [b.center for b in boxes], [b.dims for b in boxes], [b.yaw for b in boxes]), str)
+            return evaluation._box_columns(
+                evaluation._box_stack((b.center, b.dims, b.yaw) for b in boxes), str)
 
-        values = evaluation._pair_overlaps(stack(rows), stack(cols), n_rows, n_cols)
+        # Frame by frame, each frame's (row, column) matrix row-major.
+        pair_rows, pair_cols = np.concatenate(
+            [np.indices((r, c)).reshape(2, -1) + [[n_rows[:f].sum()], [n_cols[:f].sum()]]
+             for f, (r, c) in enumerate(zip(n_rows, n_cols))], axis=1)
+        values = evaluation._pair_overlaps(stack(rows), stack(cols), pair_rows, pair_cols)
         assert values.shape[1] == (n_rows * n_cols).sum() > evaluation._CLIP_CHUNK
-        one = np.array([1])
-        expected = [evaluation._pair_overlaps(stack([a]), stack([b]), one, one)[:, 0].tolist()
+        expected = [evaluation._pair_overlaps(stack([a]), stack([b]), [0], [0])[:, 0].tolist()
                     for f, (r, c) in enumerate(zip(n_rows.tolist(), n_cols.tolist()))
                     for a in rows[n_rows[:f].sum():][:r] for b in cols[n_cols[:f].sum():][:c]]
         assert values.T.tolist() == expected
@@ -354,40 +357,45 @@ UNSOUND = {"negated-width-and-length": {"dims": (1.52, -1.63, -3.88)},
            "inf-length": {"dims": (1.52, 1.63, math.inf)},
            "inf-centre": {"center": (math.inf, 1.6, 20.0)},
            "nan-yaw": {"yaw": math.nan}}
+# Finite box values whose footprint area or volume overflows.
+OVERFLOWING = {"huge-depth": {"center": (4.0, 1.6, 1e308)},
+               "huge-length": {"dims": (1.52, 1.63, 1e155)},
+               "huge-height": {"dims": (1e308, 1.63, 3.88)}}
+RULES = {**{case: "centre, dims and yaw must be finite, dims non-negative" for case in UNSOUND},
+         **{case: "footprint area and volume must be finite" for case in OVERFLOWING}}
 
 
 class TestBoxCheck:
     """Every overlap path and the sampler reject a box whose values are
-    not finite or whose dims are negative, naming the box."""
+    not finite, whose dims are negative, or whose footprint area or volume
+    overflows, naming the box. An overflow raises no numpy warning."""
 
     sound = Box3D(center=(0.0, 1.6, 20.0), dims=(1.52, 1.63, 3.88), yaw=-1.2)
 
     @pytest.mark.parametrize("side", ["a", "b"])
-    @pytest.mark.parametrize("case", UNSOUND)
+    @pytest.mark.parametrize("case", [*UNSOUND, *OVERFLOWING])
     @pytest.mark.parametrize("entry", [iou_3d, bev_iou,
                                        lambda a, b: monte_carlo_iou_3d(a, b, n_samples=1000)],
                              ids=["iou_3d", "bev_iou", "monte_carlo_iou_3d"])
     def test_pair_functions(self, entry, case, side):
-        bad = dataclasses.replace(self.sound, **UNSOUND[case])
+        bad = dataclasses.replace(self.sound, **{**UNSOUND, **OVERFLOWING}[case])
         pair = (bad, self.sound) if side == "a" else (self.sound, bad)
-        with pytest.raises(ValueError, match=rf"^box {side}: centre, dims and yaw must be "
-                                             r"finite, dims non-negative, got "):
+        with pytest.raises(ValueError, match=rf"^box {side}: {RULES[case]}, got "):
             entry(*pair)
 
     @pytest.mark.parametrize("side", ["prediction", "ground truth"])
-    @pytest.mark.parametrize("case", UNSOUND)
+    @pytest.mark.parametrize("case", [*UNSOUND, *OVERFLOWING])
     def test_evaluate_frames(self, case, side):
         # The unsound box is object 1 of its side in frame 000004: as a
         # prediction it is visited first, as a ground truth it is the
         # frame's first Car; either way the error gives its file position.
         changes = {"center": "location", "dims": "dims", "yaw": "rotation_y"}
-        bad = dataclasses.replace(make_car(score=0.8), **{changes[k]: v
-                                                          for k, v in UNSOUND[case].items()})
+        bad = dataclasses.replace(make_car(score=0.8), **{
+            changes[k]: v for k, v in {**UNSOUND, **OVERFLOWING}[case].items()})
         gts = [make_car(class_name="Pedestrian"), make_car()]
         preds = [make_car(score=0.2), make_car(score=0.8)]
         (gts if side == "ground truth" else preds)[1] = bad
-        with pytest.raises(ValueError, match=rf"^frame '000004', {side} 1: centre, dims and "
-                                             r"yaw must be finite, dims non-negative, got "):
+        with pytest.raises(ValueError, match=rf"^frame '000004', {side} 1: {RULES[case]}, got "):
             evaluate_frames({"000003": [make_car()], "000004": gts},
                             {"000003": [make_car(score=0.5)], "000004": preds})
 
@@ -814,9 +822,10 @@ class TestSharedOverlaps:
         report, calls = kernel_evaluate(monkeypatch, gts, preds, thresholds)
         assert report == oracle_evaluate(gts, preds, thresholds)[0]
         assert len(calls) == 1
-        (_, n_rows, _, _, passes), (matched, _) = calls[0]
+        (*_, n_preds, passes), (matched, _) = calls[0]
         assert len(passes) == 3 * 2 * len(thresholds)
-        assert matched.shape == (len(passes), sum(n_rows)) and len(n_rows) == len(gts)
+        assert matched.shape == (len(passes), n_preds)
+        assert n_preds == sum(p.class_name == "Car" for f in gts for p in preds.get(f, []))
 
 
 def reference_frame_scores(preds, frame, positions):
@@ -996,14 +1005,19 @@ def assert_kernel_equals_oracle(monkeypatch, gts, preds, thresholds, ap_mode="11
     report, calls = kernel_evaluate(monkeypatch, gts, preds, thresholds, ap_mode)
     assert report == expected
     assert len(calls) == 1
-    (_, n_rows, _, _, passes), (matched, ignored) = calls[0]
+    (*_, passes), (matched, ignored) = calls[0]
     assert [key for key, _ in oracle_passes] == passes
     frames = sorted(gts)
-    starts = np.cumsum(n_rows) - n_rows
+    # Each frame's Car predictions (rows, in visit order) and ground truths
+    # (split indices) follow the earlier frames'.
+    n_rows, n_cols = (np.array([sum(a.class_name == "Car" for a in side.get(f, []))
+                                for f in frames]) for side in (preds, gts))
     for p, (_, per_frame) in enumerate(oracle_passes):
-        for f, start, n in zip(frames, starts.tolist(), n_rows.tolist()):
-            got = [("tp", c) if c >= 0 else ("ignored", -1) if skip else ("fp", -1)
-                   for c, skip in zip(matched[p, start:start + n].tolist(),
+        for f, start, n, gt_start in zip(frames, (np.cumsum(n_rows) - n_rows).tolist(),
+                                         n_rows.tolist(), (np.cumsum(n_cols) - n_cols).tolist()):
+            # A matched split index, as a column in its frame.
+            got = [("tp", g - gt_start) if g >= 0 else ("ignored", -1) if skip else ("fp", -1)
+                   for g, skip in zip(matched[p, start:start + n].tolist(),
                                       ignored[p, start:start + n].tolist())]
             assert got == outcomes(*per_frame[f]), (p, f)
     return report

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +327,13 @@ class TestSplits:
         with pytest.raises(ValueError, match=r"^split line 4: frame '000003' is already "
                                              r"listed on line 2$"):
             read_split_file("000000\n000003\n\n 000003 \n")
+
+    @pytest.mark.parametrize("frame", ["../label_2/000001", "/data/000001", "sub/000001",
+                                       ".", ".."])
+    def test_frame_id_outside_its_directory_is_located(self, frame):
+        with pytest.raises(ValueError, match=rf"^split line 2: frame {re.escape(repr(frame))} "
+                                             r"must name a file in its directory"):
+            read_split_file(f"000000\n {frame} \n000002\n")
 
     def test_frame_id_padding(self):
         assert frame_id(7) == "000007"

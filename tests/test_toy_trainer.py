@@ -30,7 +30,8 @@ def brute_force_violations(head, scene, lam=100.0):
 def reference_train(scene, cfg, use_regularizer, lr=1e-3, epochs=2000, seed=0,
                     tolerance=TOLERANCE_L1):
     """One run's own epoch loop on 2-D arrays, as `train` ran before the
-    runs were stacked."""
+    runs were stacked; the state after the last epoch is tested for
+    divergence as each epoch's is."""
     x, gt, m = scene.features, scene.gt, scene.size
     xpxt = x @ build_graph(scene.batch(), cfg.lam).p @ x.T if use_regularizer else None
     rng = np.random.default_rng(seed)
@@ -41,7 +42,7 @@ def reference_train(scene, cfg, use_regularizer, lr=1e-3, epochs=2000, seed=0,
     loss_curve = []
     epochs_to_tolerance = None
     step = lr
-    for epoch in range(epochs):
+    for epoch in range(epochs + 1):
         residual = (w @ x + b[:, None]) - gt
         data_l1 = float(np.abs(residual).sum())
         objective = data_l1
@@ -49,6 +50,8 @@ def reference_train(scene, cfg, use_regularizer, lr=1e-3, epochs=2000, seed=0,
             objective += cfg.beta * float(np.trace(w @ xpxt @ w.T))
         if not np.isfinite(objective) or objective > DIVERGENCE_LIMIT:
             raise TrainingDiverged(epoch - 1)
+        if epoch == epochs:
+            break
         loss_curve.append(objective)
         if epochs_to_tolerance is None and data_l1 / m < tolerance:
             epochs_to_tolerance = epoch
@@ -447,6 +450,28 @@ class TestStackedTraining:
             "train-toy: training diverged; last finite epoch was 12 "
             "(regularized arm, seed 2)\n")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "toy.json").exists()
+
+    def test_final_state_divergence_matches_reference(self):
+        # Seed 2's regularised run diverges at epoch 13 at M = 100: in a
+        # 13-epoch run, that is the state the last update leaves.
+        cfg = LossConfig()
+        with pytest.raises(TrainingDiverged) as expected:
+            reference_paired_runs([1, 2, 3], cfg, n_objects=100, epochs=13)
+        with pytest.raises(TrainingDiverged) as exc:
+            run_paired_experiment([1, 2, 3], cfg, n_objects=100, epochs=13)
+        assert str(exc.value) == str(expected.value) == (
+            "training diverged; last finite epoch was 12 (regularized arm, seed 2)")
+
+    def test_final_state_overflow_exits_two(self, tmp_path, capsys):
+        # lr = 1e308 overflows the one update of a one-epoch run: epoch 0
+        # is finite, the state its update leaves is not. The suite turns
+        # any numpy warning into an error.
+        code = cli.main(["train-toy", "--out", str(tmp_path / "toy.json"), "--lr", "1e308",
+                         "--n-seeds", "1", "--epochs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "train-toy: training diverged; last finite epoch was 0 (regularized arm, seed 1)\n")
         assert not (tmp_path / "toy.json").exists()
 
     def test_divergence_at_epoch_zero_names_no_epoch(self, tmp_path, capsys):

@@ -202,7 +202,8 @@ def _box_columns(boxes: Box3D, name: Callable[[int], str]) -> tuple[np.ndarray, 
 
     Rejects the first box whose centre, dims or yaw is not finite or whose
     dims are negative, then the first whose footprint area or volume
-    (area times h) is not finite, naming it ``name(index)``."""
+    (area times h) is not finite, then the first whose footprint
+    coordinates are too large to clip, naming it ``name(index)``."""
     def check(sound: np.ndarray, rule: str) -> None:
         if not sound.all():
             i = int(np.argmin(sound))
@@ -217,6 +218,12 @@ def _box_columns(boxes: Box3D, name: Callable[[int], str]) -> tuple[np.ndarray, 
         footprints = bev_footprint(boxes)
         area = polygon_area(footprints, np.full(len(footprints), 4))
         check(np.isfinite(area * boxes.dims[:, 0]), "footprint area and volume must be finite")
+        # A far box's area can be a finite 0 yet overflow the clip. With
+        # |coordinates| <= c, clip_convex's edge values reach 8c^2 and their
+        # differences 16c^2; polygon_area's two sums over at most 8 vertices
+        # reach 8c^2 each, and their difference 16c^2.
+        check(np.isfinite(16 * np.square(footprints)).all(axis=(1, 2)),
+              "footprint coordinates must be small enough to clip")
     return footprints, area, boxes.center[:, 1], boxes.dims[:, 0]
 
 

@@ -7,9 +7,9 @@ indicator-masked term, so mutating them cannot change a loss value.
 
 Losses: objectness cross-entropy plus L1 box regression, coarse+residual
 instance depth, 3D-centre L1 plus the locality regulariser, and a
-positional 8-corner L1. Analytic subgradients with respect to the
-prediction arrays accompany each loss (L1 kinks use subgradient 0, so
-perfect predictions are stationary).
+positional 8-corner L1. One masked-L1 kernel reads each loss term and its
+subgradient from one residual; :func:`loss_subgradients` returns them all
+(L1 kinks use subgradient 0, so perfect predictions are stationary).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box2D, inverse_project
-from .kitti_io import CameraCalibration
+from .geometry import Box2D
 from .locality import (DEFAULT_BETA, DEFAULT_LAMBDA, FeatureBatch, LinearHead,
                        SimilarityGraph, check_lam, reg_trace)
 
@@ -116,11 +115,6 @@ class PredictionBatch:
         return self.scores.shape[:2]
 
 
-def _check_grids(pred: PredictionBatch, target: GridTarget):
-    if pred.shape != target.shape:
-        raise ValueError(f"grid shapes differ: {pred.shape} vs {target.shape}")
-
-
 def grid_cell(u: float, v: float, image_width: float, image_height: float,
               rows: int = GRID_ROWS, cols: int = GRID_COLS) -> tuple[int, int]:
     """Cell containing an image point; exact boundaries go to the lower index."""
@@ -159,112 +153,80 @@ def build_grid_target(boxes2d: Sequence[Box2D], depths: Sequence[float],
     return target
 
 
-def l1(pred: np.ndarray, target: np.ndarray) -> float:
-    """Sum of absolute coordinate differences."""
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return float(np.abs(pred - target).sum())
+def _masked_l1(residual: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum of ``|residual|`` over the occupied cells, and ``sign(residual)``
+    everywhere; callers multiply the sign by the indicator."""
+    return float(np.abs(residual[mask]).sum()), np.sign(residual)
 
 
-def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    lse = np.logaddexp(scores[..., 0], scores[..., 1])
-    return scores - lse[..., None]
+def _confidence(scores: np.ndarray, pr_obj: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy between softmaxed scores and the target
+    (object, no-object) distribution, and its gradient with respect to the
+    scores, ``(softmax - target) / n_cells``, from one log-softmax."""
+    scores = np.asarray(scores, dtype=float)
+    pr_obj = np.asarray(pr_obj, dtype=float)
+    if scores.shape != pr_obj.shape + (2,):
+        raise ValueError(f"scores {scores.shape} do not match targets {pr_obj.shape}")
+    if not ((pr_obj >= 0) & (pr_obj <= 1)).all():
+        raise ValueError("target confidence must lie in [0, 1]")
+    log_p = scores - np.logaddexp(scores[..., 0], scores[..., 1])[..., None]
+    ce = -(pr_obj * log_p[..., 0] + (1.0 - pr_obj) * log_p[..., 1])
+    t = np.stack([pr_obj, 1.0 - pr_obj], axis=-1)
+    return float(ce.mean()), (np.exp(log_p) - t) / pr_obj.size
 
 
 def confidence_loss(scores: np.ndarray, pr_obj: np.ndarray) -> float:
     """Mean cross-entropy between softmaxed scores and the target
     (object, no-object) distribution."""
-    scores = np.asarray(scores, dtype=float)
-    pr_obj = np.asarray(pr_obj, dtype=float)
-    if scores.shape != pr_obj.shape + (2,):
-        raise ValueError(f"scores {scores.shape} do not match targets {pr_obj.shape}")
-    if np.any(pr_obj < 0) or np.any(pr_obj > 1):
-        raise ValueError("target confidence must lie in [0, 1]")
-    log_p = _log_softmax(scores)
-    ce = -(pr_obj * log_p[..., 0] + (1.0 - pr_obj) * log_p[..., 1])
-    return float(ce.mean())
+    return _confidence(scores, pr_obj)[0]
 
 
-def confidence_loss_gradient(scores: np.ndarray, pr_obj: np.ndarray) -> np.ndarray:
-    """d(mean cross-entropy)/d(scores): (softmax - target) / n_cells."""
-    scores = np.asarray(scores, dtype=float)
-    pr_obj = np.asarray(pr_obj, dtype=float)
-    p = np.exp(_log_softmax(scores))
-    t = np.stack([pr_obj, 1.0 - pr_obj], axis=-1)
-    return (p - t) / pr_obj.size
+def _terms(pred: PredictionBatch, target: GridTarget,
+           cfg: LossConfig) -> tuple[tuple[float, float, float, float], PredictionBatch]:
+    """The 2D, depth, centre and corner loss values (R(W) excluded), and
+    their subgradients with respect to every prediction array. Each array
+    enters one loss, and each residual is built once for both outputs."""
+    if pred.shape != target.shape:
+        raise ValueError(f"grid shapes differ: {pred.shape} vs {target.shape}")
+    ind = target.mask
+    conf, d_scores = _confidence(pred.scores, target.pr_obj)
+    box, s_box = _masked_l1(pred.box2d - target.box2d, ind)
+    coarse, s_coarse = _masked_l1(pred.z_coa - target.z, ind)
+    refined, s_refined = _masked_l1(pred.z_coa + pred.z_delta - target.z, ind)
+    center, s_center = _masked_l1(pred.c_coa + pred.c_delta - target.c3d, ind)
+    corners, s_corners = _masked_l1(pred.corners - target.corners, ind)
+    d_center = ind[..., None] * s_center
+    grads = PredictionBatch(scores=d_scores, box2d=cfg.alpha * ind[..., None] * s_box,
+                            z_coa=ind * (cfg.gamma * s_coarse + s_refined),
+                            z_delta=ind * s_refined, c_coa=d_center, c_delta=d_center.copy(),
+                            corners=ind[..., None, None] * s_corners)
+    return (conf + cfg.alpha * box, cfg.gamma * coarse + refined, center, corners), grads
 
 
 def loss_2d(pred: PredictionBatch, target: GridTarget, cfg: LossConfig) -> float:
     """Objectness cross-entropy plus alpha-weighted box L1 on occupied cells."""
-    _check_grids(pred, target)
-    mask = target.mask
-    box_term = float(np.abs(pred.box2d[mask] - target.box2d[mask]).sum())
-    return confidence_loss(pred.scores, target.pr_obj) + cfg.alpha * box_term
-
-
-def loss_2d_gradients(pred: PredictionBatch, target: GridTarget,
-                      cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
-    _check_grids(pred, target)
-    d_scores = confidence_loss_gradient(pred.scores, target.pr_obj)
-    d_box = cfg.alpha * target.has_object[..., None] * np.sign(pred.box2d - target.box2d)
-    return d_scores, d_box
+    return _terms(pred, target, cfg)[0][0]
 
 
 def loss_depth(pred: PredictionBatch, target: GridTarget, cfg: LossConfig) -> float:
     """gamma * |coarse - z| + |coarse + residual - z| over occupied cells."""
-    _check_grids(pred, target)
-    mask = target.mask
-    coarse = float(np.abs(pred.z_coa[mask] - target.z[mask]).sum())
-    refined = float(np.abs(pred.z_coa[mask] + pred.z_delta[mask] - target.z[mask]).sum())
-    return cfg.gamma * coarse + refined
-
-
-def loss_depth_gradients(pred: PredictionBatch, target: GridTarget,
-                         cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
-    _check_grids(pred, target)
-    ind = target.has_object
-    refined_sign = np.sign(pred.z_coa + pred.z_delta - target.z)
-    d_coa = ind * (cfg.gamma * np.sign(pred.z_coa - target.z) + refined_sign)
-    d_delta = ind * refined_sign
-    return d_coa, d_delta
+    return _terms(pred, target, cfg)[0][1]
 
 
 def loss_center3d(pred: PredictionBatch, target: GridTarget, head: LinearHead,
                   batch: FeatureBatch, graph: SimilarityGraph, cfg: LossConfig) -> float:
     """3D-centre L1 on occupied cells plus the locality regulariser R(W)."""
-    _check_grids(pred, target)
-    mask = target.mask
-    center = float(np.abs(pred.c_coa[mask] + pred.c_delta[mask] - target.c3d[mask]).sum())
-    return center + reg_trace(head, batch, graph, cfg.beta)
-
-
-def loss_center3d_gradients(pred: PredictionBatch,
-                            target: GridTarget) -> tuple[np.ndarray, np.ndarray]:
-    """Subgradients for the centre L1 term; the R(W) part is W-only and
-    available as :func:`mono3d.locality.reg_gradient`."""
-    _check_grids(pred, target)
-    ind = target.has_object[..., None]
-    sign = ind * np.sign(pred.c_coa + pred.c_delta - target.c3d)
-    return sign, sign.copy()
+    return _terms(pred, target, cfg)[0][2] + reg_trace(head, batch, graph, cfg.beta)
 
 
 def loss_corners(pred: PredictionBatch, target: GridTarget) -> float:
     """Index-by-index corner L1 over occupied cells; order is positional."""
-    _check_grids(pred, target)
-    mask = target.mask
-    return float(np.abs(pred.corners[mask] - target.corners[mask]).sum())
+    return _terms(pred, target, LossConfig())[0][3]
 
 
-def loss_corners_gradient(pred: PredictionBatch, target: GridTarget) -> np.ndarray:
-    _check_grids(pred, target)
-    ind = target.has_object[..., None, None]
-    return ind * np.sign(pred.corners - target.corners)
-
-
-def coarse_center(box2d: Box2D, depth: float,
-                  calib: CameraCalibration) -> tuple[float, float, float]:
-    """Lift a 2D box centre at an estimated depth to a coarse 3D centre."""
-    x, y = inverse_project((box2d.center_u, box2d.center_v), depth, calib)
-    return (x, y, depth)
+def loss_subgradients(pred: PredictionBatch, target: GridTarget,
+                      cfg: LossConfig) -> PredictionBatch:
+    """Subgradients of the four losses with respect to each prediction
+    array, in the arrays' own layout. The R(W) part of the centre loss is
+    W-only and available as :func:`mono3d.locality.reg_gradient`."""
+    return _terms(pred, target, cfg)[1]

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,9 @@ from hypothesis import strategies as st
 from conftest import CALIB_TEXT, write_corpus
 from mono3d import cli
 from mono3d.cli import main
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run(args):
@@ -275,6 +280,32 @@ class TestEval:
         assert capsys.readouterr().err.startswith(
             "mono3d: frame '000001', ground truth 0: footprint area and volume must be "
             "finite, got centre (3.2, 1.6, 1e+308), dims (1.52, 1.63, 3.88), yaw ")
+        assert not out.exists()
+
+    def test_far_edge_on_box_is_located(self, tmp_path, monkeypatch, capsys):
+        # Car 0 of frame 000000, label and prediction, at z = 1e308 edge-on:
+        # its footprint area is a finite 0, but clipping it would overflow.
+        root = tmp_path / "corpus"
+        monkeypatch.setattr(sys, "argv", ["make_synthetic_kitti.py", "--frames", "4",
+                                          "--seed", "3", "--out", str(root)])
+        runpy.run_path(str(SCRIPTS / "make_synthetic_kitti.py"), run_name="__main__")
+        capsys.readouterr()
+        for kind in ("label_2", "pred"):
+            path = root / kind / "000000.txt"
+            lines = path.read_text().splitlines()
+            tokens = lines[0].split()
+            tokens[11], tokens[13], tokens[14] = "0.0", "1e308", "1.570796"
+            path.write_text("".join(line + "\n" for line in [" ".join(tokens), *lines[1:]]))
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["eval", "--gt-dir", root / "label_2", "--pred-dir", root / "pred",
+                        "--calib-dir", root / "calib", "--split", root / "split.txt",
+                        "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "mono3d: frame '000000', prediction 0: footprint coordinates must be small "
+            "enough to clip, got centre (0.0, 1.65, 1e+308), dims ")
         assert not out.exists()
 
     def test_non_finite_calibration_is_input_error(self, corpus, tmp_path, capsys):

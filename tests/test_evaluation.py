@@ -361,37 +361,48 @@ UNSOUND = {"negated-width-and-length": {"dims": (1.52, -1.63, -3.88)},
 OVERFLOWING = {"huge-depth": {"center": (4.0, 1.6, 1e308)},
                "huge-length": {"dims": (1.52, 1.63, 1e155)},
                "huge-height": {"dims": (1e308, 1.63, 3.88)}}
+# Far edge-on boxes: every footprint corner rounds to one depth, so the
+# area is a finite 0, but the clip's products would overflow.
+FAR = {"far-edge-on": {"center": (0.0, 1.6, 1e308), "yaw": 1.5707963},
+       "far-edge-on-1e154": {"center": (0.0, 1.6, 1e154), "yaw": 1.5707963}}
 RULES = {**{case: "centre, dims and yaw must be finite, dims non-negative" for case in UNSOUND},
-         **{case: "footprint area and volume must be finite" for case in OVERFLOWING}}
+         **{case: "footprint area and volume must be finite" for case in OVERFLOWING},
+         **{case: "footprint coordinates must be small enough to clip" for case in FAR}}
+BAD = {**UNSOUND, **OVERFLOWING, **FAR}
 
 
 class TestBoxCheck:
     """Every overlap path and the sampler reject a box whose values are
-    not finite, whose dims are negative, or whose footprint area or volume
-    overflows, naming the box. An overflow raises no numpy warning."""
+    not finite, whose dims are negative, whose footprint area or volume
+    overflows, or whose footprint is too far out to clip, naming the box.
+    An overflow raises no numpy warning."""
 
     sound = Box3D(center=(0.0, 1.6, 20.0), dims=(1.52, 1.63, 3.88), yaw=-1.2)
 
+    def test_far_box_next_to_the_bound_is_accepted(self):
+        far = dataclasses.replace(self.sound, center=(0.0, 1.6, 3e153), yaw=1.5707963)
+        assert iou_3d(far, self.sound) == bev_iou(self.sound, far) == 0.0
+
     @pytest.mark.parametrize("side", ["a", "b"])
-    @pytest.mark.parametrize("case", [*UNSOUND, *OVERFLOWING])
+    @pytest.mark.parametrize("case", [*BAD])
     @pytest.mark.parametrize("entry", [iou_3d, bev_iou,
                                        lambda a, b: monte_carlo_iou_3d(a, b, n_samples=1000)],
                              ids=["iou_3d", "bev_iou", "monte_carlo_iou_3d"])
     def test_pair_functions(self, entry, case, side):
-        bad = dataclasses.replace(self.sound, **{**UNSOUND, **OVERFLOWING}[case])
+        bad = dataclasses.replace(self.sound, **BAD[case])
         pair = (bad, self.sound) if side == "a" else (self.sound, bad)
         with pytest.raises(ValueError, match=rf"^box {side}: {RULES[case]}, got "):
             entry(*pair)
 
     @pytest.mark.parametrize("side", ["prediction", "ground truth"])
-    @pytest.mark.parametrize("case", [*UNSOUND, *OVERFLOWING])
+    @pytest.mark.parametrize("case", [*BAD])
     def test_evaluate_frames(self, case, side):
         # The unsound box is object 1 of its side in frame 000004: as a
         # prediction it is visited first, as a ground truth it is the
         # frame's first Car; either way the error gives its file position.
         changes = {"center": "location", "dims": "dims", "yaw": "rotation_y"}
         bad = dataclasses.replace(make_car(score=0.8), **{
-            changes[k]: v for k, v in {**UNSOUND, **OVERFLOWING}[case].items()})
+            changes[k]: v for k, v in BAD[case].items()})
         gts = [make_car(class_name="Pedestrian"), make_car()]
         preds = [make_car(score=0.2), make_car(score=0.8)]
         (gts if side == "ground truth" else preds)[1] = bad

@@ -5,11 +5,9 @@ import pytest
 
 from mono3d.geometry import Box2D, Box3D, box3d_corners
 from mono3d.locality import FeatureBatch, LinearHead, build_graph, reg_trace
-from mono3d.losses import (GridTarget, LossConfig, PredictionBatch, build_grid_target,
-                           coarse_center, confidence_loss, confidence_loss_gradient,
-                           grid_cell, l1, loss_2d, loss_2d_gradients, loss_center3d,
-                           loss_center3d_gradients, loss_corners, loss_corners_gradient,
-                           loss_depth, loss_depth_gradients)
+from mono3d.losses import (GridTarget, LossConfig, PredictionBatch, _masked_l1,
+                           build_grid_target, confidence_loss, grid_cell, loss_2d,
+                           loss_center3d, loss_corners, loss_depth, loss_subgradients)
 
 IMAGE_W, IMAGE_H = 1242.0, 375.0
 
@@ -51,19 +49,32 @@ def tiny_graph_inputs(n=4, m=5, seed=0):
 
 
 class TestL1:
+    """The masked L1 kernel behind the box, depth, centre and corner terms:
+    the sum of |residual| over occupied cells, and the sign everywhere."""
+
+    mask = np.array([[True, False]])
+
     def test_identical(self):
-        assert l1([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+        value, sign = _masked_l1(np.zeros((1, 2, 3)), self.mask)
+        assert value == 0.0 and not sign.any()
 
     def test_simple(self):
-        assert l1([1.0, 2.0], [0.0, 0.0]) == 3.0
+        value, sign = _masked_l1(np.array([[[1.0, -2.0], [50.0, 50.0]]]), self.mask)
+        assert value == 3.0  # the empty cell's residual is masked out
+        assert sign.tolist() == [[[1.0, -1.0], [1.0, 1.0]]]
 
     def test_symmetric(self):
-        a, b = np.array([1.5, -2.0, 0.25]), np.array([0.0, 4.0, 1.0])
-        assert l1(a, b) == l1(b, a)
+        residual = np.array([[[1.5, -2.0, 0.25], [3.0, 0.0, -1.0]]])
+        value, sign = _masked_l1(residual, self.mask)
+        negated_value, negated_sign = _masked_l1(-residual, self.mask)
+        assert value == negated_value and np.array_equal(sign, -negated_sign)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            l1([1.0, 2.0], [1.0])
+        # A prediction grid that differs from the target's is rejected
+        # before any residual is built.
+        target, _ = small_scene(rows=8, cols=8)
+        with pytest.raises(ValueError, match="grid shapes differ"):
+            loss_subgradients(PredictionBatch.zeros(4, 4), target, LossConfig())
 
 
 class TestConfidenceLoss:
@@ -90,11 +101,30 @@ class TestConfidenceLoss:
         with pytest.raises(ValueError):
             confidence_loss(np.zeros((1, 1, 2)), np.array([[1.5]]))
 
+    @pytest.mark.parametrize("value", [math.nan, -0.5, 1.5])
+    def test_value_and_gradient_check_the_target_range(self, value):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            confidence_loss(np.zeros((1, 1, 2)), np.array([[value]]))
+        target = GridTarget.empty(1, 1)
+        target.pr_obj[0, 0] = value
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            loss_subgradients(PredictionBatch.zeros(1, 1), target, LossConfig())
+
+    def test_gradient_checks_the_target_shape(self):
+        target = GridTarget.empty(2, 2)
+        target.pr_obj = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="do not match targets"):
+            loss_subgradients(PredictionBatch.zeros(2, 2), target, LossConfig())
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         scores = rng.normal(size=(3, 3, 2))
         targets = rng.integers(0, 2, size=(3, 3)).astype(float)
-        grad = confidence_loss_gradient(scores, targets)
+        target = GridTarget.empty(3, 3)
+        target.pr_obj = targets
+        pred = PredictionBatch.zeros(3, 3)
+        pred.scores = scores
+        grad = loss_subgradients(pred, target, LossConfig()).scores
         step = 1e-6
         for idx in np.ndindex(scores.shape):
             plus, minus = scores.copy(), scores.copy()
@@ -287,7 +317,8 @@ class TestAnalyticSubgradients:
         target, base = small_scene()
         pred = perturbed(target, base, 1)
         cfg = LossConfig(alpha=3.0)
-        d_scores, d_box = loss_2d_gradients(pred, target, cfg)
+        grads = loss_subgradients(pred, target, cfg)
+        d_scores, d_box = grads.scores, grads.box2d
 
         def of_scores(s):
             return loss_2d(PredictionBatch(s, pred.box2d, pred.z_coa, pred.z_delta,
@@ -306,7 +337,8 @@ class TestAnalyticSubgradients:
         target, base = small_scene()
         pred = perturbed(target, base, 2)
         cfg = LossConfig(gamma=5.0)
-        d_coa, d_delta = loss_depth_gradients(pred, target, cfg)
+        grads = loss_subgradients(pred, target, cfg)
+        d_coa, d_delta = grads.z_coa, grads.z_delta
 
         def of_coa(z):
             return loss_depth(PredictionBatch(pred.scores, pred.box2d, z, pred.z_delta,
@@ -324,9 +356,9 @@ class TestAnalyticSubgradients:
     def test_loss_center3d(self):
         target, base = small_scene()
         pred = perturbed(target, base, 3)
-        d_coa, d_delta = loss_center3d_gradients(pred, target)
         head, batch, graph = tiny_graph_inputs()
         cfg = LossConfig()
+        grads = loss_subgradients(pred, target, cfg)
 
         def of_coa(c):
             return loss_center3d(PredictionBatch(pred.scores, pred.box2d, pred.z_coa,
@@ -334,12 +366,19 @@ class TestAnalyticSubgradients:
                                                  pred.corners),
                                  target, head, batch, graph, cfg)
 
-        check_gradient(of_coa, d_coa, pred.c_coa, 12, 6)
+        def of_delta(c):
+            return loss_center3d(PredictionBatch(pred.scores, pred.box2d, pred.z_coa,
+                                                 pred.z_delta, pred.c_coa, c,
+                                                 pred.corners),
+                                 target, head, batch, graph, cfg)
+
+        check_gradient(of_coa, grads.c_coa, pred.c_coa, 12, 6)
+        check_gradient(of_delta, grads.c_delta, pred.c_delta, 12, 8)
 
     def test_loss_corners(self):
         target, base = small_scene()
         pred = perturbed(target, base, 4)
-        grad = loss_corners_gradient(pred, target)
+        grad = loss_subgradients(pred, target, LossConfig()).corners
 
         def of_corners(c):
             return loss_corners(PredictionBatch(pred.scores, pred.box2d, pred.z_coa,
@@ -349,25 +388,127 @@ class TestAnalyticSubgradients:
         check_gradient(of_corners, grad, pred.corners, 16, 7)
 
 
-class TestCoarseCenter:
-    def test_principal_point(self, calib):
-        box = Box2D(center_u=600.0, center_v=170.0, width=50.0, height=40.0)
-        assert coarse_center(box, 10.0, calib) == (0.0, 0.0, 10.0)
+class TestFractionalIndicator:
+    """Values and subgradients read one indicator, ``has_object > 0.5``,
+    so a fractional ``has_object`` counts in both or in neither."""
 
-    def test_matches_inverse_projection(self, calib):
-        from mono3d.geometry import inverse_project
-        box = Box2D(center_u=712.0, center_v=200.0, width=50.0, height=40.0)
-        x, y = inverse_project((712.0, 200.0), 23.0, calib)
-        assert coarse_center(box, 23.0, calib) == (x, y, 23.0)
+    def test_depth_subgradient_matches_finite_differences(self):
+        target, pred = GridTarget.empty(1, 2), PredictionBatch.zeros(1, 2)
+        target.has_object[0] = (0.7, 0.3)
+        target.z[0] = (2.0, 2.0)
+        pred.z_delta[0] = (0.5, 0.5)
+        cfg = LossConfig(gamma=1.0)
+        grads = loss_subgradients(pred, target, cfg)
 
-    def test_direct_value(self, calib):
-        box = Box2D(center_u=670.0, center_v=170.0, width=50.0, height=40.0)
-        assert coarse_center(box, 10.0, calib)[0] == pytest.approx(1.0)
+        def of_coa(z):
+            return loss_depth(PredictionBatch(pred.scores, pred.box2d, z, pred.z_delta,
+                                              pred.c_coa, pred.c_delta, pred.corners),
+                              target, cfg)
 
-    def test_bad_depth(self, calib):
-        box = Box2D(center_u=600.0, center_v=170.0, width=50.0, height=40.0)
-        with pytest.raises(ValueError):
-            coarse_center(box, 0.0, calib)
+        assert loss_depth(pred, target, cfg) == 3.5  # the 0.7 cell only: 2 + 1.5
+        check_gradient(of_coa, grads.z_coa, pred.z_coa, 4, 9)
+        assert grads.z_coa.tolist() == [[-2.0, 0.0]]
+        assert grads.z_delta.tolist() == [[-1.0, 0.0]]
+
+
+# Each loss and subgradient as it was written before one kernel gave them
+# all: the oracle for byte-for-byte equality on 0/1 indicator grids.
+def reference_values(pred, target, cfg, head, batch, graph):
+    mask = target.mask
+    log_p = pred.scores - np.logaddexp(pred.scores[..., 0], pred.scores[..., 1])[..., None]
+    pr_obj = target.pr_obj
+    conf = float((-(pr_obj * log_p[..., 0] + (1.0 - pr_obj) * log_p[..., 1])).mean())
+    box_term = float(np.abs(pred.box2d[mask] - target.box2d[mask]).sum())
+    coarse = float(np.abs(pred.z_coa[mask] - target.z[mask]).sum())
+    refined = float(np.abs(pred.z_coa[mask] + pred.z_delta[mask] - target.z[mask]).sum())
+    center = float(np.abs(pred.c_coa[mask] + pred.c_delta[mask] - target.c3d[mask]).sum())
+    corners = float(np.abs(pred.corners[mask] - target.corners[mask]).sum())
+    return (conf + cfg.alpha * box_term, cfg.gamma * coarse + refined,
+            center + reg_trace(head, batch, graph, cfg.beta), corners)
+
+
+def reference_confidence_loss_gradient(scores, pr_obj):
+    p = np.exp(scores - np.logaddexp(scores[..., 0], scores[..., 1])[..., None])
+    t = np.stack([pr_obj, 1.0 - pr_obj], axis=-1)
+    return (p - t) / pr_obj.size
+
+
+def reference_loss_2d_gradients(pred, target, cfg):
+    d_scores = reference_confidence_loss_gradient(pred.scores, target.pr_obj)
+    d_box = cfg.alpha * target.has_object[..., None] * np.sign(pred.box2d - target.box2d)
+    return d_scores, d_box
+
+
+def reference_loss_depth_gradients(pred, target, cfg):
+    ind = target.has_object
+    refined_sign = np.sign(pred.z_coa + pred.z_delta - target.z)
+    d_coa = ind * (cfg.gamma * np.sign(pred.z_coa - target.z) + refined_sign)
+    d_delta = ind * refined_sign
+    return d_coa, d_delta
+
+
+def reference_loss_center3d_gradients(pred, target):
+    ind = target.has_object[..., None]
+    sign = ind * np.sign(pred.c_coa + pred.c_delta - target.c3d)
+    return sign, sign.copy()
+
+
+def reference_loss_corners_gradient(pred, target):
+    ind = target.has_object[..., None, None]
+    return ind * np.sign(pred.corners - target.corners)
+
+
+def random_grid(rng):
+    """A 1-8 x 1-8 grid at 40 % occupancy whose predictions sit on L1 kinks
+    in about a third of their entries, and are sometimes all zero."""
+    rows, cols = (int(n) for n in rng.integers(1, 9, 2))
+    has_object = (rng.random((rows, cols)) < 0.4).astype(float)
+    pr_obj = np.where(rng.random((rows, cols)) < 0.5, has_object, rng.random((rows, cols)))
+    target = GridTarget(has_object, pr_obj, rng.normal(size=(rows, cols, 4)),
+                        rng.normal(size=(rows, cols)), rng.normal(size=(rows, cols, 3)),
+                        rng.normal(size=(rows, cols, 8, 3)))
+
+    def near(exact):
+        out = np.round(rng.normal(size=exact.shape), 1)
+        kink = rng.random(exact.shape) < 0.3
+        out[kink] = exact[kink]
+        return out * (rng.random() >= 0.2)
+
+    z_coa = near(target.z)
+    pred = PredictionBatch(
+        scores=rng.normal(size=(rows, cols, 2)) * rng.choice([0.0, 1.0, 30.0]),
+        box2d=near(target.box2d), z_coa=z_coa,
+        z_delta=np.where(rng.random((rows, cols)) < 0.3, target.z - z_coa, near(target.z)),
+        c_coa=near(target.c3d),
+        c_delta=np.where(rng.random((rows, cols, 3)) < 0.3, 0.0, near(target.c3d)),
+        corners=near(target.corners))
+    cfg = LossConfig(alpha=float(rng.choice([0.0, 3.0, 10.0])),
+                     gamma=float(rng.choice([0.0, 5.0, 10.0])))
+    return target, pred, cfg
+
+
+class TestReferenceOracle:
+    def test_values_and_subgradients_equal_the_references_byte_for_byte(self):
+        rng = np.random.default_rng(23)
+        head, batch, graph = tiny_graph_inputs()
+
+        def as_bytes(arrays):
+            return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+        for _ in range(500):
+            target, pred, cfg = random_grid(rng)
+            values = (loss_2d(pred, target, cfg), loss_depth(pred, target, cfg),
+                      loss_center3d(pred, target, head, batch, graph, cfg),
+                      loss_corners(pred, target))
+            assert as_bytes(values) == as_bytes(
+                reference_values(pred, target, cfg, head, batch, graph))
+            grads = loss_subgradients(pred, target, cfg)
+            expected = (*reference_loss_2d_gradients(pred, target, cfg),
+                        *reference_loss_depth_gradients(pred, target, cfg),
+                        *reference_loss_center3d_gradients(pred, target),
+                        reference_loss_corners_gradient(pred, target))
+            assert as_bytes([grads.scores, grads.box2d, grads.z_coa, grads.z_delta,
+                             grads.c_coa, grads.c_delta, grads.corners]) == as_bytes(expected)
 
 
 class TestLossConfig:

@@ -220,12 +220,8 @@ def cmd_eval(args) -> int:
         sidecar = args.out.with_suffix(args.out.suffix + ".missing.txt")
         sidecar.write_text("".join(f"{f}\n" for f in missing), encoding="utf-8")
 
-    pr_rows = []
-    for key in sorted(pr_curves):
-        for recall, precision in pr_curves[key]:
-            pr_rows.append([key, recall, precision])
-    _write_csv(args.out.with_name(args.out.stem + "_pr.csv"),
-               ["curve", "recall", "precision"], pr_rows)
+    _write_csv(args.out.with_name(args.out.stem + "_pr.csv"), ["curve", "recall", "precision"],
+               [[key, *point] for key in sorted(pr_curves) for point in pr_curves[key].tolist()])
 
     bin_rows = []
     if report["localization"]:

@@ -62,7 +62,7 @@ class MatchResult:
 
 @dataclass
 class PrecisionRecallCurve:
-    points: list[tuple[float, float]]            # (recall, precision), recall ascending
+    points: np.ndarray  # (N, 2) float64 (recall, precision) rows, recall ascending
     ap: float
 
 
@@ -448,30 +448,28 @@ def _curve(is_tp: np.ndarray, n_gt: int, grid: list[float]) -> PrecisionRecallCu
     The precision at each grid recall is the maximum precision attained
     at that recall or above. A curve with at least one true positive
     starts at the conventional (recall 0, precision 1) anchor; with none
-    the AP is 0.
+    the AP is 0, and with no prediction the curve is (0, 2).
     """
     tp = np.cumsum(is_tp, dtype=np.int64)
     # Integer counts divided as float64, as Python divides the same ints.
-    recall = tp / n_gt
-    precision = tp / np.arange(1, len(tp) + 1)
-    points = list(zip(recall.tolist(), precision.tolist()))
+    points = np.column_stack([tp / n_gt, tp / np.arange(1, len(tp) + 1)])
     if not len(tp) or tp[-1] == 0:
         return PrecisionRecallCurve(points=points, ap=0.0)
+    points = np.vstack([(0.0, 1.0), points])
     # Recall never decreases along the curve, anchor included, so the
     # points at or above a level are a suffix: one reverse running max
     # gives every suffix's maximum, and the trailing 0.0 stands for the
     # empty suffix. The first point at or above a level is its
     # searchsorted (bisect_left) position.
-    envelope = np.maximum.accumulate(np.append(precision[::-1], 1.0))[::-1]
-    interpolated = np.append(envelope, 0.0)[
-        np.searchsorted(np.append(0.0, recall), grid)].tolist()
+    envelope = np.maximum.accumulate(points[::-1, 1])[::-1]
+    interpolated = np.append(envelope, 0.0)[np.searchsorted(points[:, 0], grid)].tolist()
     ap = sum(interpolated) / len(interpolated)
-    return PrecisionRecallCurve(points=[(0.0, 1.0)] + points, ap=ap)
+    return PrecisionRecallCurve(points=points, ap=ap)
 
 
 def average_precision(all_matches: Iterable[MatchResult], n_gt: int,
                       mode: str = "11") -> PrecisionRecallCurve:
-    """Score-sorted precision/recall sweep with interpolated AP over
+    """Score-sorted precision/recall (N, 2) array with interpolated AP over
     per-frame match results: one pass of the split's AP kernel.
 
     Matched and unmatched predictions are scored, ignored ones are not;
@@ -528,8 +526,8 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
                     thresholds: Sequence[float] = (0.3, 0.5, 0.7),
                     ap_mode: str = "11",
                     class_name: str = "Car") -> dict:
-    """Full split evaluation: AP tables per metric/difficulty/threshold
-    plus a localization report over matched pairs.
+    """Full split evaluation: AP tables and ``pr_curves``, (N, 2) float64
+    arrays, per metric/difficulty/threshold, plus a localization report.
 
     Before matching, a prediction without a score, then a box that fails
     :func:`_box_columns`' check (predictions in visit order first), then,

@@ -228,8 +228,8 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     them through ``out=`` and in-place operators: the same ufuncs on the
     same operands in the same order as the expressions they replace. The
     state the last update leaves is tested for divergence as every
-    epoch's is, and each run's first state under tolerance is read from
-    the kept data terms after the loop. Heads, loss curves and reports
+    epoch's is, and each run's first state under tolerance and final L1
+    are read from the kept data terms. Heads, loss curves and reports
     are therefore bitwise those of training the runs one after another,
     in the order given. That order also settles divergence: when run k is
     the earliest to diverge in an epoch, runs 0..k-1 are retrained as a
@@ -326,11 +326,10 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
         run = runs[k]
         scene = run.scene
         head = LinearHead(w=w[slot].copy(), b=b[slot].copy())
-        final_l1 = float(np.abs(head.predict(scene.features) - scene.gt).sum()) / m
         epochs_to_tolerance = int(reached[slot]) if reached[slot] >= 0 else None
         report = TrainReport(
             epochs_to_tolerance=epochs_to_tolerance,
-            final_l1=final_l1,
+            final_l1=float(data[slot, epochs]) / m,
             neighbor_order_violations=neighbor_order_violations(
                 head, scene.validation_view(), cfg.lam),
             loss_curve=curves[slot, :epochs].tolist(),

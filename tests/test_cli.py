@@ -359,6 +359,113 @@ class TestEval:
             (tmp_path / "b_depth_bins.csv").read_bytes()
 
 
+def tuple_curve(is_tp, n_gt):
+    """A pass's precision/recall curve as ``evaluation._curve`` built it
+    before curves became (N, 2) arrays: a list of (recall, precision)
+    tuples, anchored at (0, 1) when the pass has a true positive."""
+    tp = np.cumsum(is_tp, dtype=np.int64)
+    recall = tp / n_gt
+    precision = tp / np.arange(1, len(tp) + 1)
+    points = list(zip(recall.tolist(), precision.tolist()))
+    if not len(tp) or tp[-1] == 0:
+        return points
+    return [(0.0, 1.0)] + points
+
+
+def tuple_path_pr_csv(path, pr_curves):
+    """``_pr.csv`` as ``cmd_eval`` wrote it from tuple curves, one row at a time."""
+    pr_rows = []
+    for key in sorted(pr_curves):
+        for recall, precision in pr_curves[key]:
+            pr_rows.append([key, recall, precision])
+    cli._write_csv(path, ["curve", "recall", "precision"], pr_rows)
+
+
+# Half-millionths, where f"{v:.6f}" rounds either way, and the doubles
+# one ulp either side of each.
+HALF_MILLIONTHS = np.array([(k + 0.5) / 1e6 for k in (0, 1, 123_456, 499_999, 999_999)])
+NEAR_TIES = np.concatenate([np.nextafter(HALF_MILLIONTHS, 0.0), HALF_MILLIONTHS,
+                            np.nextafter(HALF_MILLIONTHS, 1.0), [0.0, 1.0]])
+
+
+class TestPrCsv:
+    """``_pr.csv`` written from each pass's (N, 2) curve array is byte for
+    byte what the tuple path wrote."""
+
+    def run_eval(self, corpus, out, monkeypatch, curves=None, extra=()):
+        """``eval`` on ``corpus``, its curves replaced by ``curves`` if
+        given; returns each ``_curve`` call's (is_tp, n_gt) by curve key."""
+        calls, passes = [], {}
+        curve, evaluate = cli.evaluation._curve, cli.evaluation.evaluate_frames
+
+        def spy_curve(is_tp, n_gt, grid):
+            calls.append((is_tp.copy(), n_gt))
+            return curve(is_tp, n_gt, grid)
+
+        def spy_evaluate(*args, **kwargs):
+            report = evaluate(*args, **kwargs)
+            # Curves are computed in the order the report lists them.
+            passes.update(zip(report["pr_curves"], calls))
+            return report if curves is None else {**report, "pr_curves": curves}
+
+        monkeypatch.setattr(cli.evaluation, "_curve", spy_curve)
+        monkeypatch.setattr(cli.evaluation, "evaluate_frames", spy_evaluate)
+        assert run(["eval", "--gt-dir", corpus["gt"], "--pred-dir", corpus["pred"],
+                    "--calib-dir", corpus["calib"], "--split", corpus["split"],
+                    "--out", out, *extra]) == 0
+        return passes
+
+    @pytest.mark.parametrize("extra", [(), ("--thresholds", "0.1", "0.25", "0.5", "0.7"),
+                                       ("--ap-mode", "40")], ids=["default", "wide", "r40"])
+    @pytest.mark.parametrize("perturb_z", [0.0, 1.0, 3.0])
+    def test_split_matches_tuple_path(self, tmp_path, monkeypatch, perturb_z, extra):
+        # Every prediction scores 0.9, so every pass visits tied scores; a
+        # larger depth error turns more of them into false positives.
+        corpus = write_corpus(tmp_path / "data", perturb_z=perturb_z)
+        passes = self.run_eval(corpus, tmp_path / "report.json", monkeypatch, extra=extra)
+        assert passes
+        tuple_path_pr_csv(tmp_path / "tuple.csv",
+                          {key: tuple_curve(*call) for key, call in passes.items()})
+        assert (tmp_path / "report_pr.csv").read_bytes() == (tmp_path / "tuple.csv").read_bytes()
+
+    def test_empty_passes_match_tuple_path(self, tmp_path, monkeypatch):
+        corpus = write_corpus(tmp_path / "data")
+        for f in corpus["pred"].glob("*.txt"):
+            f.write_text("")
+        passes = self.run_eval(corpus, tmp_path / "report.json", monkeypatch)
+        assert all(len(is_tp) == 0 for is_tp, _ in passes.values())
+        tuple_path_pr_csv(tmp_path / "tuple.csv",
+                          {key: tuple_curve(*call) for key, call in passes.items()})
+        assert (tmp_path / "report_pr.csv").read_bytes() == \
+            (tmp_path / "tuple.csv").read_bytes() == b"curve,recall,precision\n"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_curves_match_tuple_path(self, corpus, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        # An empty pass, all false positives, recall and precision exactly 1
+        # throughout, then passes whose scores tie, in sorted-score order.
+        passes = [(np.zeros(0, bool), 2), (np.zeros(6, bool), 3), (np.ones(5, bool), 5)]
+        for _ in range(5):
+            score = rng.choice([0.2, 0.5, 0.8], int(rng.integers(1, 40)))
+            is_tp = (rng.random(len(score)) < rng.choice([0.0, 0.3, 0.7, 1.0]))[
+                np.argsort(-score, kind="stable")]
+            passes.append((is_tp, max(1, int(is_tp.sum()) + int(rng.integers(0, 3)))))
+        keys = [f"{metric}_{tier}_0.{k}" for k, (metric, tier) in
+                enumerate(rng.permutation([(m, t) for m in ("bev", "3d")
+                                           for t in ("hard", "easy", "moderate")]).tolist())]
+        grid = cli.evaluation._recall_grid("11")
+        curves = {key: cli.evaluation._curve(is_tp, n_gt, grid).points
+                  for key, (is_tp, n_gt) in zip(keys, passes)}
+        expected = {key: tuple_curve(*call) for key, call in zip(keys, passes)}
+        # Recalls and precisions one ulp either side of a half-millionth.
+        near = rng.permutation(NEAR_TIES)
+        curves["near_ties"] = np.column_stack([near, near[::-1]])
+        expected["near_ties"] = list(zip(near.tolist(), near[::-1].tolist()))
+        self.run_eval(corpus, tmp_path / "report.json", monkeypatch, curves)
+        tuple_path_pr_csv(tmp_path / "tuple.csv", expected)
+        assert (tmp_path / "report_pr.csv").read_bytes() == (tmp_path / "tuple.csv").read_bytes()
+
+
 class TestTrainToy:
     def test_small_noiseless_run(self, tmp_path):
         out = tmp_path / "toy.json"

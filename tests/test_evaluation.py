@@ -617,6 +617,17 @@ class TestLocalizationReport:
         assert edges[-1] == (70.0, 90.0)
         assert report.depth_bins[-1].count == 1
 
+    def test_pair_beyond_90_m_counts_overall_but_in_no_bin(self):
+        # The last bin is [70, 90]: a deeper pair enters the count and the
+        # overall accuracies, and no bin.
+        gt = np.array([[0.0, 1.6, 95.5], [0.0, 1.6, 20.0]])
+        pred = gt + np.array([[9.55, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        report = localization_report(pred, gt)
+        assert report.count == 2
+        assert [b.count for b in report.depth_bins] == [0, 0, 1, 0, 0, 0, 0, 0]
+        assert report.depth_bins[2].ra_u == 1.0
+        assert report.ra_u == pytest.approx(1.0 - 0.1 / 2)
+
     def test_clamped_to_unit_interval(self):
         gt = np.array([[0.0, 0.0, 1.0]])
         pred = np.array([[5.0, 0.0, 1.0]])
@@ -656,6 +667,15 @@ class TestEvaluateFrames:
         assert report["localization"] is None
 
 
+def with_curve_lists(report):
+    """``report`` with each precision/recall curve as a list
+    ``[[recall, precision], ...]``, so reports compare with ``==``:
+    evaluate_frames' (N, 2) arrays and the oracle's lists of tuples both
+    become lists of float pairs."""
+    return {**report, "pr_curves": {key: [[float(r), float(p)] for r, p in curve]
+                                    for key, curve in report["pr_curves"].items()}}
+
+
 class TestMatchFrame:
     """Greedy matching within a frame, as evaluate_frames runs it."""
 
@@ -669,12 +689,16 @@ class TestMatchFrame:
     def test_perfect_predictions(self):
         gts = self.gts()
         report = evaluate_frames(gts, self.as_preds(gts, [0.9, 0.8]), thresholds=(0.7,))
-        assert report["pr_curves"]["3d_easy_0.7"] == [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
+        assert with_curve_lists(report)["pr_curves"]["3d_easy_0.7"] == \
+            [[0.0, 1.0], [0.5, 1.0], [1.0, 1.0]]
         assert report["localization"]["count"] == 2
 
     def test_empty_predictions(self):
         report = evaluate_frames(self.gts(), {}, thresholds=(0.5,))
-        assert report["n_gt"]["easy"] == 2 and report["pr_curves"]["3d_easy_0.5"] == []
+        assert report["n_gt"]["easy"] == 2
+        assert with_curve_lists(report)["pr_curves"]["3d_easy_0.5"] == []
+        curve = report["pr_curves"]["3d_easy_0.5"]
+        assert (curve.shape, curve.dtype) == ((0, 2), np.float64)
         assert report["localization"] is None
 
     def test_higher_score_wins_contested_gt(self):
@@ -684,7 +708,8 @@ class TestMatchFrame:
         preds = {"000000": [make_car(x=0.0, z=10.0, score=0.3),
                             make_car(x=0.2, z=10.0, score=0.8)]}
         report = evaluate_frames(gts, preds, thresholds=(0.5,))
-        assert report["pr_curves"]["bev_easy_0.5"] == [(0.0, 1.0), (1.0, 1.0), (1.0, 0.5)]
+        assert with_curve_lists(report)["pr_curves"]["bev_easy_0.5"] == \
+            [[0.0, 1.0], [1.0, 1.0], [1.0, 0.5]]
         assert report["localization"]["ra_u"] == 1.0 - 0.2 / 10.0
 
     def test_score_required(self):
@@ -713,7 +738,8 @@ class TestMatchFrame:
         preds = {f: [make_car(x=a.location[0] + 0.3, z=a.location[2], score=0.9 - 0.1 * k)
                      for k, a in enumerate(v) if a.class_name == "Car"] for f, v in gts.items()}
         reversed_preds = {f: v[::-1] for f, v in preds.items()}
-        assert evaluate_frames(gts, preds) == evaluate_frames(gts, reversed_preds)
+        assert with_curve_lists(evaluate_frames(gts, preds)) == \
+            with_curve_lists(evaluate_frames(gts, reversed_preds))
 
 
 class TestDifficultyFilter:
@@ -731,7 +757,8 @@ class TestDifficultyFilter:
         preds = {"000000": [dataclasses.replace(pedestrian, score=0.9)]}
         report = evaluate_frames(gts, preds, thresholds=(0.5,))
         assert report["n_gt"] == {"easy": 1, "moderate": 1, "hard": 1}
-        assert report["pr_curves"]["3d_hard_0.5"] == [] and report["ap_3d"]["hard"]["0.5"] == 0.0
+        assert with_curve_lists(report)["pr_curves"]["3d_hard_0.5"] == []
+        assert report["ap_3d"]["hard"]["0.5"] == 0.0
 
 
 def random_split(seed, n_frames=6):
@@ -831,7 +858,8 @@ class TestSharedOverlaps:
         # tier's 3D pass at the lowest threshold; it runs no pass of its own.
         gts, preds = random_split(6)
         report, calls = kernel_evaluate(monkeypatch, gts, preds, thresholds)
-        assert report == oracle_evaluate(gts, preds, thresholds)[0]
+        assert with_curve_lists(report) == \
+            with_curve_lists(oracle_evaluate(gts, preds, thresholds)[0])
         assert len(calls) == 1
         (*_, n_preds, passes), (matched, _) = calls[0]
         assert len(passes) == 3 * 2 * len(thresholds)
@@ -1014,7 +1042,9 @@ def assert_kernel_equals_oracle(monkeypatch, gts, preds, thresholds, ap_mode="11
         flat = np.concatenate([overlaps[f].reshape(2, -1) for f in sorted(gts)], axis=1)
         monkeypatch.setattr(evaluation, "_pair_overlaps", lambda *args: flat)
     report, calls = kernel_evaluate(monkeypatch, gts, preds, thresholds, ap_mode)
-    assert report == expected
+    assert with_curve_lists(report) == with_curve_lists(expected)
+    assert all((curve.ndim, curve.shape[1], curve.dtype) == (2, 2, np.float64)
+               for curve in report["pr_curves"].values())
     assert len(calls) == 1
     (*_, passes), (matched, ignored) = calls[0]
     assert [key for key, _ in oracle_passes] == passes
@@ -1235,7 +1265,7 @@ class TestPadding:
         preds["002000"] = [make_car(x=float(rng.uniform(-40, 40)), z=30.0,
                                     score=float(rng.uniform(0, 1))) for _ in range(100)]
         report, crowded = self.peak(gts, preds)
-        assert report == oracle_evaluate(gts, preds, WIDE)[0]
+        assert with_curve_lists(report) == with_curve_lists(oracle_evaluate(gts, preds, WIDE)[0])
         assert crowded < 1.25 * base + 2**20, \
             f"{crowded / 2**20:.1f} MB against {base / 2**20:.1f} MB"
 

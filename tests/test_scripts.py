@@ -54,12 +54,16 @@ GOLDEN_EVAL_WIDE = {
 
 
 # sha256 of the other commands' JSON, taken from the writer that rounded a
-# copy of the payload and ran json's indent=2 encoder over it.
+# copy of the payload and ran json's indent=2 encoder over it. The
+# 10-pair iou-oracle case, taken from the sampler that drew for every
+# pair, has its 4th, 5th, 7th and 8th pairs decided without drawing.
 GOLDEN_JSON = {
     "train-toy": ("30e5ed28c8bbc950c3fb6d95699ca27ab768f47a074e87f0868db0440bbed985",
-                  ["--n-seeds", "2", "--epochs", "300"]),
+                  ["train-toy", "--n-seeds", "2", "--epochs", "300"]),
     "iou-oracle": ("3984aa1a47c6b494feb80b30201bea8e0930711ce49b8341cfc31fe2b548d63b",
-                   ["--n-pairs", "3", "--n-samples", "10000"]),
+                   ["iou-oracle", "--n-pairs", "3", "--n-samples", "10000"]),
+    "iou-oracle-10-pairs": ("461dd165635751285b3776ab93d4ca62f9aa3051fb8a7ad0665deb4cb499b958",
+                            ["iou-oracle", "--n-pairs", "10", "--n-samples", "20000"]),
 }
 GOLDEN_VALIDATE_60 = "fb37646e9e7dde6ef5db7e4ab1bd49aa77de1b6a524a21cb9c56678214cb881a"
 
@@ -98,11 +102,11 @@ def test_eval_outputs_at_four_thresholds_match_golden_digests(corpus_60, tmp_pat
                         "--thresholds", *WIDE_THRESHOLDS) == GOLDEN_EVAL_WIDE[ap_mode]
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN_JSON))
-def test_command_json_matches_golden_digest(tmp_path, command):
-    digest, flags = GOLDEN_JSON[command]
+@pytest.mark.parametrize("case", sorted(GOLDEN_JSON))
+def test_command_json_matches_golden_digest(tmp_path, case):
+    digest, argv = GOLDEN_JSON[case]
     out = tmp_path / "out.json"
-    assert main([command, "--out", str(out), *flags]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

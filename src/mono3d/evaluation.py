@@ -4,10 +4,7 @@ Rotated-box overlap is computed analytically: bird's-eye-view footprints
 are clipped against each other (convex-convex Sutherland-Hodgman) and the
 3D overlap multiplies the footprint intersection by the vertical overlap.
 One clip yields both the BEV and the 3D IoU of a pair. A Monte-Carlo
-volume sampler provides an independent cross-check. Each of b's slabs
-(y, x, z) is a monotone function of each coordinate of a draw, so the
-sampler maps the 8 corners of the generator's range first: if any slab's
-range lies wholly outside b, the pair has 0 hits and draws nothing.
+volume sampler provides an independent cross-check.
 
 Detections are matched to ground truth greedily in descending score
 order; average precision interpolates the precision envelope on a fixed
@@ -35,7 +32,6 @@ finite values, non-negative dims, a finite footprint area and volume.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -294,38 +290,6 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 # a 2 MB L2 cache, and memory does not grow with n_samples.
 _MC_CHUNK = 16_384
 
-# The 8 corners of the draws Generator.random can return, [0, 1 - 2**-53]^3.
-_DRAW_CORNERS = np.array(list(itertools.product((0.0, np.nextafter(1.0, 0.0)), repeat=3)))
-
-
-def _mc_slabs(u: np.ndarray, dims_a: tuple[float, float, float], m: np.ndarray,
-              offset: np.ndarray, slabs: np.ndarray, scratch: np.ndarray) -> None:
-    """Map unit draws ``u`` (rows of x, y, z in [0, 1)) into b's frame.
-
-    Writes b's y, x and z of each draw to ``slabs[0]``, ``slabs[1]`` and
-    ``slabs[2]``, with ``scratch`` (two rows) holding a's local x and z.
-    The sampler's chunks and its early-exit corners both go through
-    here, so they round the same operations in the same order.
-    """
-    ha, wa, la = dims_a
-    by, bx, bz = slabs
-    lx, lz = scratch
-    np.negative(u[:, 1], out=by)
-    np.multiply(by, ha, out=by)
-    np.add(by, offset[1], out=by)
-    np.subtract(u[:, 0], 0.5, out=lx)
-    np.multiply(lx, la, out=lx)
-    np.subtract(u[:, 2], 0.5, out=lz)
-    np.multiply(lz, wa, out=lz)
-    np.multiply(lx, m[0, 0], out=bx)
-    np.multiply(lz, m[2, 0], out=bz)
-    np.add(bx, bz, out=bx)
-    np.add(bx, offset[0], out=bx)
-    np.multiply(lx, m[0, 2], out=bz)
-    np.multiply(lz, m[2, 2], out=lx)
-    np.add(bz, lx, out=bz)
-    np.add(bz, offset[2], out=bz)
-
 
 def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
                        seed: int = 0) -> float:
@@ -336,19 +300,13 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
 
     Both rotations and both centres fold into one affine map from a's
     local frame to b's, built once, and applied as per-column
-    multiply-adds. Each of b's slabs (y in [-h, 0], x in [-l/2, l/2],
-    z in [-w/2, w/2]) is a chain of correctly rounded subtractions,
-    multiplications and additions of one draw u, so it is monotone in
-    each coordinate of u, and its range over every draw the generator
-    can return, [0, 1 - 2**-53]^3, is reached at the 8 corners. The
-    sampler maps those corners first; if any slab's range lies wholly
-    outside its bound, no draw can hit, and the pair scores 0 hits
-    without drawing. Otherwise points are drawn and tested in chunks of
-    16,384 rows from one generator, through buffers reused from chunk
-    to chunk. Chunked draws equal a single draw bit for bit, so the
+    multiply-adds. Points are drawn and tested in chunks of 16,384 rows
+    from one generator, through buffers reused from chunk to chunk, and
+    every pair draws all of its samples, so a call's cost depends only on
+    ``n_samples``. Chunked draws equal a single draw bit for bit, so the
     estimate does not depend on the chunk size, and memory stays
-    bounded: a 4e6-sample call of overlapping boxes peaks at about
-    1.0 MB of numpy allocations.
+    bounded: a 4e6-sample call peaks at about 1.0 MB of numpy
+    allocations.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -364,32 +322,41 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
     # so m's y row and column are exactly (0, 1, 0) and b_y = l_y + offset_y.
     m = yaw_matrix(a.yaw).T @ rot_b
     offset = (np.asarray(a.center) - np.asarray(b.center)) @ rot_b
-    corners = np.empty((3, len(_DRAW_CORNERS)))
-    _mc_slabs(_DRAW_CORNERS, a.dims, m, offset, corners, np.empty((2, len(_DRAW_CORNERS))))
-    hit_free = np.any((corners.min(axis=1) > [0.0, lb / 2, wb / 2])
-                      | (corners.max(axis=1) < [-hb, -lb / 2, -wb / 2]))
+    rows = min(_MC_CHUNK, n_samples)
+    draws = np.empty((rows, 3))
+    floats = np.empty((5, rows))
+    flags = np.empty((2, rows), dtype=bool)
+    rng = np.random.default_rng(seed)
     hits = 0
-    if not hit_free:
-        rows = min(_MC_CHUNK, n_samples)
-        draws = np.empty((rows, 3))
-        slabs = np.empty((3, rows))
-        scratch = np.empty((2, rows))
-        flags = np.empty((2, rows), dtype=bool)
-        rng = np.random.default_rng(seed)
-        for start in range(0, n_samples, rows):
-            k = min(rows, n_samples - start)
-            rng.random(out=draws[:k])
-            _mc_slabs(draws[:k], a.dims, m, offset, slabs[:, :k], scratch[:, :k])
-            by, bx, bz = slabs[:, :k]
-            inside, test = flags[:, :k]
-            np.less_equal(by, 0.0, out=inside)
-            np.greater_equal(by, -hb, out=test)
-            inside &= test
-            np.less_equal(np.abs(bx, out=bx), lb / 2, out=test)
-            inside &= test
-            np.less_equal(np.abs(bz, out=bz), wb / 2, out=test)
-            inside &= test
-            hits += int(np.count_nonzero(inside))
+    for start in range(0, n_samples, rows):
+        k = min(rows, n_samples - start)
+        u = draws[:k]
+        by, bx, bz, lx, lz = floats[:, :k]
+        inside, test = flags[:, :k]
+        rng.random(out=u)
+        np.negative(u[:, 1], out=by)
+        np.multiply(by, ha, out=by)
+        np.add(by, offset[1], out=by)
+        np.subtract(u[:, 0], 0.5, out=lx)
+        np.multiply(lx, la, out=lx)
+        np.subtract(u[:, 2], 0.5, out=lz)
+        np.multiply(lz, wa, out=lz)
+        np.multiply(lx, m[0, 0], out=bx)
+        np.multiply(lz, m[2, 0], out=bz)
+        np.add(bx, bz, out=bx)
+        np.add(bx, offset[0], out=bx)
+        np.multiply(lx, m[0, 2], out=bz)
+        np.multiply(lz, m[2, 2], out=lx)
+        np.add(bz, lx, out=bz)
+        np.add(bz, offset[2], out=bz)
+        np.less_equal(by, 0.0, out=inside)
+        np.greater_equal(by, -hb, out=test)
+        inside &= test
+        np.less_equal(np.abs(bx, out=bx), lb / 2, out=test)
+        inside &= test
+        np.less_equal(np.abs(bz, out=bz), wb / 2, out=test)
+        inside &= test
+        hits += int(np.count_nonzero(inside))
     inter = vol_a * (hits / n_samples)
     return float(inter / (vol_a + vol_b - inter))
 

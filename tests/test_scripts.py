@@ -55,8 +55,9 @@ GOLDEN_EVAL_WIDE = {
 
 # sha256 of the other commands' JSON, taken from the writer that rounded a
 # copy of the payload and ran json's indent=2 encoder over it. The
-# 10-pair iou-oracle case, taken from the sampler that drew for every
-# pair, has its 4th, 5th, 7th and 8th pairs decided without drawing.
+# 10-pair iou-oracle case, taken from the sampler that drew 65,536 rows
+# at a time, includes pairs with a slab of a wholly outside b (its 4th,
+# 5th, 7th and 8th), which score 0 hits.
 GOLDEN_JSON = {
     "train-toy": ("30e5ed28c8bbc950c3fb6d95699ca27ab768f47a074e87f0868db0440bbed985",
                   ["train-toy", "--n-seeds", "2", "--epochs", "300"]),

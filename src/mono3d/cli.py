@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -135,11 +136,11 @@ def build_parser() -> _Parser:
 
 
 def _read_split(args, pred_dir: Path | None = None):
-    """Each frame of ``args.split`` as ``{frame: (gts, preds, calib)}``, and
-    every error as ``(file, line, exception)``. A part is None where its file
-    failed or, for predictions, is absent; after a label error the frame's
-    calibration and predictions are not read."""
-    frames, errors = {}, []
+    """``{frame: table}`` of ``args.split``'s labels and of the predictions
+    in ``pred_dir`` that have a file (None where a file failed), and every
+    error as ``(file, line, exception)``. Calibrations are parsed for their
+    errors; after a label error the frame's other files are not read."""
+    gts_by_frame, preds_by_frame, errors = {}, {}, []
 
     def parse(label: str, path: Path, parser):
         try:
@@ -149,14 +150,13 @@ def _read_split(args, pred_dir: Path | None = None):
 
     for frame in kitti_io.read_split_file(args.split.read_text(encoding="utf-8")):
         name = f"{frame}.txt"
-        gts = parse(name, args.gt_dir / name, kitti_io.parse_label_file)
-        calib = preds = None
-        if gts is not None:
-            calib = parse(f"calib/{name}", args.calib_dir / name, kitti_io.parse_calib_file)
+        gts_by_frame[frame] = parse(name, args.gt_dir / name, kitti_io.parse_label_file)
+        if gts_by_frame[frame] is not None:
+            parse(f"calib/{name}", args.calib_dir / name, kitti_io.parse_calib_file)
             if pred_dir is not None and (pred_dir / name).exists():
-                preds = parse(f"pred/{name}", pred_dir / name, kitti_io.parse_label_file)
-        frames[frame] = (gts, preds, calib)
-    return frames, errors
+                preds_by_frame[frame] = parse(f"pred/{name}", pred_dir / name,
+                                              kitti_io.parse_label_file)
+    return gts_by_frame, preds_by_frame, errors
 
 
 def _located(file: str, line: int | None, exc: Exception) -> str:
@@ -164,22 +164,19 @@ def _located(file: str, line: int | None, exc: Exception) -> str:
 
 
 def cmd_validate(args) -> int:
-    frames, errors = _read_split(args)
-    class_counts: dict[str, int] = {}
-    difficulty_counts = {d.name.lower(): 0 for d in kitti_io.Difficulty}
-    for gts, _, _ in frames.values():
-        for a in gts or ():
-            class_counts[a.class_name] = class_counts.get(a.class_name, 0) + 1
-            difficulty_counts[kitti_io.assign_difficulty(a).name.lower()] += 1
+    gts_by_frame, _, errors = _read_split(args)
+    gts = kitti_io.LabelTable.concat([t for t in gts_by_frame.values() if t is not None])
+    tiers = kitti_io.assign_difficulty(gts)
     summary = {
-        "frames": len(frames),
+        "frames": len(gts_by_frame),
         "errors": [{"file": f, "line": n, "message": str(e)} for f, n, e in errors],
-        "class_counts": dict(sorted(class_counts.items())),
-        "difficulty_counts": difficulty_counts,
+        "class_counts": dict(sorted(Counter(gts.class_names).items())),
+        "difficulty_counts": {d.name.lower(): int((tiers == d).sum())
+                              for d in kitti_io.Difficulty},
     }
     if args.out:
         write_json(args.out, summary)
-    print(f"validate: {len(frames)} frames, {len(errors)} errors")
+    print(f"validate: {len(gts_by_frame)} frames, {len(errors)} errors")
     for error in errors:
         print(f"  {_located(*error)}")
     return EXIT_INPUT_ERROR if errors else EXIT_OK
@@ -197,12 +194,10 @@ def cmd_eval(args) -> int:
     evaluation.check_thresholds(args.thresholds)
     if not args.pred_dir.is_dir():
         raise ValueError(f"--pred-dir {args.pred_dir} is not a directory")
-    frames, errors = _read_split(args, args.pred_dir)
+    gts_by_frame, preds_by_frame, errors = _read_split(args, args.pred_dir)
     if errors:
         raise ValueError(_located(*errors[0]))
-    gts_by_frame = {frame: gts for frame, (gts, _, _) in frames.items()}
-    preds_by_frame = {frame: preds or [] for frame, (_, preds, _) in frames.items()}
-    missing = [frame for frame, (_, preds, _) in frames.items() if preds is None]
+    missing = [frame for frame in gts_by_frame if frame not in preds_by_frame]
 
     report = evaluation.evaluate_frames(gts_by_frame, preds_by_frame,
                                         thresholds=args.thresholds,
@@ -223,16 +218,12 @@ def cmd_eval(args) -> int:
     _write_csv(args.out.with_name(args.out.stem + "_pr.csv"), ["curve", "recall", "precision"],
                [[key, *point] for key in sorted(pr_curves) for point in pr_curves[key].tolist()])
 
-    bin_rows = []
-    if report["localization"]:
-        for b in report["localization"]["depth_bins"]:
-            bin_rows.append([b["lo"], b["hi"], b["count"],
-                             b["ra_u"], b["ra_v"], b["ra_z"]])
+    bins = report["localization"]["depth_bins"] if report["localization"] else []
     _write_csv(args.out.with_name(args.out.stem + "_depth_bins.csv"),
-               ["depth_lo", "depth_hi", "count", "ra_u", "ra_v", "ra_z"], bin_rows)
+               ["depth_lo", "depth_hi", "count", "ra_u", "ra_v", "ra_z"],
+               [[b[k] for k in ("lo", "hi", "count", "ra_u", "ra_v", "ra_z")] for b in bins])
 
-    print(f"eval: {len(frames)} frames, {len(missing)} without predictions "
-          f"-> {args.out}")
+    print(f"eval: {len(gts_by_frame)} frames, {len(missing)} without predictions -> {args.out}")
     return EXIT_OK
 
 

@@ -12,22 +12,15 @@ recall grid (11-point by default, 40-point optional). Localization
 quality is reported as per-coordinate relative accuracy, optionally
 binned by depth.
 
-A split evaluation lays the split out once: one checked box stack per
-side, and one pair index that lists the (prediction, ground truth) pairs
-frame by frame, each frame's matrix row-major, with each pair's frame,
-visit rank, prediction row and ground-truth index. The clip gathers the
-pairs' boxes by that index a fixed-size chunk at a time, with the
-per-edge sign tests as array operations; a pair degenerate in both boxes
-(a NaN overlap) is rejected there. Matching runs every difficulty tier,
-metric and threshold at once, as rank steps over the pairs sorted by
-visit rank, each step a segment max and min per prediction. Average
-precision sorts the split's predictions by score once; each pass's curve
-is a running sum over that order. The localization report reads one
-pass's matched centres from the two stacks.
-``iou_3d`` and ``bev_iou`` are one-pair calls of the overlap pass, and
-``average_precision`` is one pass of AP over given per-frame matches.
-Every box entering an overlap or the sampler goes through one check:
-finite values, non-negative dims, a finite footprint area and volume.
+A split evaluation lays the split out once: each side's label tables
+end to end, a checked box stack per side from their columns, and one
+index of the (prediction, ground truth) pairs, which one batched clip,
+one matching kernel for every (tier, metric, threshold) pass and the
+localization report all read. ``iou_3d`` and ``bev_iou`` are one-pair
+calls of the overlap pass, and ``average_precision`` is one pass of AP
+over given per-frame matches. Every box entering an overlap or the
+sampler goes through one check: finite values, non-negative dims, a
+finite footprint area and volume.
 """
 
 from __future__ import annotations
@@ -39,7 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .geometry import Box3D, bev_footprint, yaw_matrix
-from .kitti_io import Difficulty, ObjectAnnotation, assign_difficulty
+from .kitti_io import DIMS, LOCATION, ROTATION_Y, SCORE, Difficulty, LabelTable, assign_difficulty
 
 # Vertices closer than this are merged after clipping to avoid slivers.
 VERTEX_MERGE_EPS = 1e-9
@@ -190,12 +183,6 @@ _DEGENERATE = ("both boxes are degenerate", "both footprints are degenerate")
 _CLIP_CHUNK = 2048
 
 
-def _box_stack(triples: Iterable[tuple]) -> Box3D:
-    """One stacked :class:`Box3D` of (centre, dims, yaw) triples."""
-    table = np.array([(*c, *d, y) for c, d, y in triples], dtype=float).reshape(-1, 7)
-    return Box3D(table[:, :3], table[:, 3:6], table[:, 6])
-
-
 def _box_columns(boxes: Box3D, name: Callable[[int], str]) -> tuple[np.ndarray, ...]:
     """Per-box arrays of a stack: BEV footprints ``(B, 4, 2)``, their signed
     areas, bottom-face heights ``y`` and box heights ``h``.
@@ -263,8 +250,9 @@ def _pair_overlaps(row_boxes: tuple[np.ndarray, ...], col_boxes: tuple[np.ndarra
 
 def _pair_columns(a: Box3D, b: Box3D) -> list[tuple[np.ndarray, ...]]:
     """:func:`_box_columns` of each box as a stack of one, named ``box a`` or ``box b``."""
-    return [_box_columns(_box_stack([(box.center, box.dims, box.yaw)]), lambda _: name)
-            for box, name in ((a, "box a"), (b, "box b"))]
+    stacks = (Box3D(*(np.array([v], dtype=float) for v in (box.center, box.dims, box.yaw)))
+              for box in (a, b))
+    return [_box_columns(stack, lambda _: name) for stack, name in zip(stacks, ("box a", "box b"))]
 
 
 def _one_pair(a: Box3D, b: Box3D, metric: str) -> float:
@@ -548,21 +536,21 @@ def localization_report(pred_centers: np.ndarray,
                               depth_bins=bins)
 
 
-def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
-                    preds_by_frame: dict[str, list[ObjectAnnotation]],
+def evaluate_frames(gts_by_frame: dict[str, LabelTable],
+                    preds_by_frame: dict[str, LabelTable],
                     thresholds: Sequence[float] = (0.3, 0.5, 0.7),
                     ap_mode: str = "11",
                     class_name: str = "Car") -> dict:
     """Full split evaluation: AP tables and ``pr_curves``, (N, 2) float64
     arrays, per metric/difficulty/threshold, plus a localization report.
+    The ground-truth frames are the split: a frame missing from
+    ``preds_by_frame`` has no predictions, and one outside the split raises.
 
     Before matching, a prediction without a score, then a box that fails
     :func:`_box_columns`' check (predictions in visit order first), then,
     whether or not a pass runs, the first pair in (frame, visit rank,
     column) order degenerate in both boxes raises, named by positions
-    among the frame's objects. Every (tier, metric, threshold) pass is
-    matched by one call of the split's kernel (:func:`_match_passes`), and
-    the scored predictions are sorted once for every pass's AP.
+    among the frame's objects.
 
     Localization pairs come from 3D matching at the lowest threshold with
     the most inclusive difficulty filter: they are read from the hard
@@ -573,6 +561,9 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     check_thresholds(thresholds)
     grid = _recall_grid(ap_mode)
     frames = sorted(gts_by_frame)
+    strays = sorted(preds_by_frame.keys() - gts_by_frame.keys())
+    if strays:
+        raise ValueError(f"frame {strays[0]!r} has predictions but no ground truth")
     report: dict = {
         "class": class_name,
         "frames": len(frames),
@@ -582,30 +573,31 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
         "pr_curves": {},
     }
 
-    def of_class(objects_by_frame: dict[str, list[ObjectAnnotation]]):
-        """The class's objects, frame by frame; each one's position among
-        its frame's objects; and each frame's count."""
-        found = [[(k, a) for k, a in enumerate(objects_by_frame.get(f, []))
-                  if a.class_name == class_name] for f in frames]
-        return ([a for objects in found for _, a in objects],
-                [k for objects in found for k, _ in objects],
-                np.array([len(objects) for objects in found], dtype=int))
+    def class_rows(tables_by_frame: dict[str, LabelTable]):
+        """The side's tables end to end; its class rows, their frames and positions."""
+        tables = [tables_by_frame.get(f) or LabelTable.of([]) for f in frames]
+        sizes = np.array([len(t) for t in tables], dtype=int)
+        table = LabelTable.concat(tables)
+        rows = np.flatnonzero(np.array(table.class_names, dtype=str) == class_name)
+        frame = np.repeat(np.arange(len(frames)), sizes)[rows]
+        return table, rows, frame, rows - (np.cumsum(sizes) - sizes)[frame]
 
-    preds, pred_positions, n_rows = of_class(preds_by_frame)
-    gts, gt_positions, n_cols = of_class(gts_by_frame)
-    pred_frame = np.repeat(np.arange(len(frames)), n_rows)
-    scores = [p.score for p in preds]
-    if None in scores:
-        e = scores.index(None)
+    pred_table, pred_rows, pred_frame, pred_positions = class_rows(preds_by_frame)
+    gt_table, gt_rows, gt_frame, gt_positions = class_rows(gts_by_frame)
+    n_rows = np.bincount(pred_frame, minlength=len(frames))
+    n_cols = np.bincount(gt_frame, minlength=len(frames))
+    preds = pred_table.values[pred_rows]
+    unscored = np.flatnonzero(np.isnan(preds[:, SCORE]))
+    if len(unscored):
+        e = unscored[0]
         raise ValueError(f"frame {frames[pred_frame[e]]!r}, prediction {pred_positions[e]}: "
                          "no score")
     # Visit order: by frame, then descending score, then index (lexsort is stable).
-    visit = np.lexsort((-np.array(scores, dtype=float), pred_frame))
-    tiers = np.array([assign_difficulty(g) for g in gts], dtype=int)
-    gt_frame = np.repeat(np.arange(len(frames)), n_cols)
-    pred_boxes = _box_stack((preds[e].location, preds[e].dims, preds[e].rotation_y)
-                            for e in visit.tolist())
-    gt_boxes = _box_stack((g.location, g.dims, g.rotation_y) for g in gts)
+    visit = np.lexsort((-preds[:, SCORE], pred_frame))
+    tiers = assign_difficulty(gt_table)[gt_rows]
+    gts = gt_table.values[gt_rows]
+    pred_boxes = Box3D(preds[visit, LOCATION], preds[visit, DIMS], preds[visit, ROTATION_Y])
+    gt_boxes = Box3D(gts[:, LOCATION], gts[:, DIMS], gts[:, ROTATION_Y])
     # The pair index: frame by frame, each frame's (prediction, ground
     # truth) matrix row-major. Per pair: its frame, its prediction's visit
     # rank and row (index in visit order), its ground truth's index.
@@ -637,7 +629,7 @@ def evaluate_frames(gts_by_frame: dict[str, list[ObjectAnnotation]],
     # One sort scores every pass: entries are frame by frame in visit
     # order, so a stable sort by descending score orders them by (score,
     # frame, index) as well.
-    by_score = np.argsort(-np.array(scores, dtype=float)[visit], kind="stable")
+    by_score = np.argsort(-preds[visit, SCORE], kind="stable")
     is_tp = (matched >= 0)[:, by_score]
     scored = ~ignored[:, by_score]
     curves = iter(_curve(is_tp[p][scored[p]], n_gts[d], grid)

@@ -8,7 +8,7 @@ projection ``P2`` is consumed. A calibration file must hold exactly one
 positive focal length and a depth row: the third row's first three values
 may not all be zero. Split files list one frame id per line, each id once.
 
-Parsing is strict and total: every line either yields an annotation of
+Parsing is strict and total: every line either yields a table row of
 finite values, an integral occlusion code, non-negative dimensions, a 2D
 box with right >= left and bottom >= top, and (on ground-truth lines) a
 truncation in [0, 1] (``DontCare`` rows excepted), or a located error
@@ -49,9 +49,18 @@ class CalibFormatError(ValueError):
     """A calibration file without a usable P2 entry."""
 
 
+# Columns of a LabelTable's values: label fields 1-14 in file order (as
+# ObjectAnnotation names them), then the score.
+TRUNCATION, OCCLUSION, ALPHA = 0, 1, 2
+LEFT, TOP, RIGHT, BOTTOM = 3, 4, 5, 6
+DIMS, LOCATION = slice(7, 10), slice(10, 13)
+ROTATION_Y, SCORE = 13, 14
+COLUMNS = 15
+
+
 @dataclass
 class ObjectAnnotation:
-    """One KITTI label line.
+    """One label line, as the writers take it.
 
     ``box2d`` is (left, top, right, bottom) in pixels, ``dims`` is
     (height, width, length) in metres, ``location`` is the bottom-face
@@ -70,9 +79,34 @@ class ObjectAnnotation:
     rotation_y: float
     score: Optional[float] = None
 
-    @property
-    def box_height(self) -> float:
-        return self.box2d[3] - self.box2d[1]
+
+@dataclass(eq=False)  # tables hold arrays: compare their columns
+class LabelTable:
+    """A label or prediction file's rows: class names, one ``(N, COLUMNS)``
+    float64 array of fields (the score NaN where a row has none), line numbers."""
+
+    class_names: list[str]
+    values: np.ndarray
+    line_numbers: list[int]
+
+    def __len__(self) -> int:
+        return len(self.class_names)
+
+    @classmethod
+    def of(cls, annotations: list[ObjectAnnotation]) -> "LabelTable":
+        """``annotations`` as lines 1, 2, ... of a table; no rule is checked."""
+        rows = [(a.truncation, a.occlusion, a.alpha, *a.box2d, *a.dims, *a.location,
+                 a.rotation_y, math.nan if a.score is None else a.score) for a in annotations]
+        return cls([a.class_name for a in annotations],
+                   np.array(rows, dtype=float).reshape(-1, COLUMNS),
+                   list(range(1, len(rows) + 1)))
+
+    @classmethod
+    def concat(cls, tables: list["LabelTable"]) -> "LabelTable":
+        """The rows of ``tables`` end to end."""
+        return cls([name for t in tables for name in t.class_names],
+                   np.concatenate([np.empty((0, COLUMNS))] + [t.values for t in tables]),
+                   [n for t in tables for n in t.line_numbers])
 
 
 @dataclass
@@ -118,66 +152,50 @@ def frame_id(index: int) -> str:
     return f"{index:06d}"
 
 
-def _parse_fields(tokens: list[str], line_number: int) -> ObjectAnnotation:
-    values = []
-    for i, tok in enumerate(tokens[1:], start=1):
-        try:
-            value = float(tok)
-        except ValueError:
-            raise LabelFormatError(f"field {tok!r} is not a number",
-                                   line_number=line_number, field_index=i) from None
-        if not math.isfinite(value):
-            raise LabelFormatError(f"field {tok!r} is not finite",
-                                   line_number=line_number, field_index=i)
-        values.append(value)
-    if not values[1].is_integer():
-        raise LabelFormatError(f"occlusion {tokens[2]!r} is not an integer",
-                               line_number=line_number, field_index=2)
-    if tokens[0] != "DontCare":  # DontCare rows keep their -1 placeholders
-        for i in (8, 9, 10):
-            if values[i - 1] < 0:
-                raise LabelFormatError(f"dimension {tokens[i]!r} is negative",
-                                       line_number=line_number, field_index=i)
-        for lo, hi in ((4, 6), (5, 7)):  # (left, right), (top, bottom)
-            if values[hi - 1] < values[lo - 1]:
-                raise LabelFormatError(
-                    f"2D box edge {tokens[hi]!r} lies before {tokens[lo]!r}",
-                    line_number=line_number, field_index=hi)
-        # Result files may write -1 for an unknown truncation; labels may not.
-        if len(tokens) == GT_FIELD_COUNT and not 0.0 <= values[0] <= 1.0:
-            raise LabelFormatError(f"truncation {tokens[1]!r} is outside [0, 1]",
-                                   line_number=line_number, field_index=1)
-    score = values[14] if len(values) == 15 else None
-    return ObjectAnnotation(
-        class_name=tokens[0],
-        truncation=values[0],
-        occlusion=int(values[1]),
-        alpha=values[2],
-        box2d=(values[3], values[4], values[5], values[6]),
-        dims=(values[7], values[8], values[9]),
-        location=(values[10], values[11], values[12]),
-        rotation_y=values[13],
-        score=score,
-    )
+def parse_label_file(text: str) -> LabelTable:
+    """A label or prediction file's table, each line checked as it is read."""
+    names, rows, line_numbers = [], [], []
 
+    def error(message: str, field: int | None = None) -> LabelFormatError:
+        return LabelFormatError(message, line_number, field)
 
-def parse_label_line(line: str, line_number: int = 1) -> ObjectAnnotation:
-    tokens = line.split()
-    if len(tokens) not in (GT_FIELD_COUNT, PRED_FIELD_COUNT):
-        raise LabelFormatError(
-            f"expected {GT_FIELD_COUNT} or {PRED_FIELD_COUNT} fields, got {len(tokens)}",
-            line_number=line_number)
-    return _parse_fields(tokens, line_number)
-
-
-def parse_label_file(text: str) -> list[ObjectAnnotation]:
-    """Parse a label or prediction file into annotations in file order."""
-    annotations = []
     for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        tokens = line.split()
+        if not tokens:
             continue
-        annotations.append(parse_label_line(line, line_number))
-    return annotations
+        if len(tokens) not in (GT_FIELD_COUNT, PRED_FIELD_COUNT):
+            raise error(f"expected {GT_FIELD_COUNT} or {PRED_FIELD_COUNT} fields, "
+                        f"got {len(tokens)}")
+        # Field i (the class name is field 0) is column i - 1.
+        values = []
+        for i, tok in enumerate(tokens[1:], start=1):
+            try:
+                value = float(tok)
+            except ValueError:
+                raise error(f"field {tok!r} is not a number", i) from None
+            if not math.isfinite(value):
+                raise error(f"field {tok!r} is not finite", i)
+            values.append(value)
+        if not values[OCCLUSION].is_integer():
+            raise error(f"occlusion {tokens[OCCLUSION + 1]!r} is not an integer", OCCLUSION + 1)
+        if tokens[0] != "DontCare":  # DontCare rows keep their -1 placeholders
+            for c in range(DIMS.start, DIMS.stop):
+                if values[c] < 0:
+                    raise error(f"dimension {tokens[c + 1]!r} is negative", c + 1)
+            for lo, hi in ((LEFT, RIGHT), (TOP, BOTTOM)):
+                if values[hi] < values[lo]:
+                    raise error(f"2D box edge {tokens[hi + 1]!r} lies before {tokens[lo + 1]!r}",
+                                hi + 1)
+            # Result files may write -1 for an unknown truncation; labels may not.
+            if len(tokens) == GT_FIELD_COUNT and not 0.0 <= values[TRUNCATION] <= 1.0:
+                raise error(f"truncation {tokens[TRUNCATION + 1]!r} is outside [0, 1]",
+                            TRUNCATION + 1)
+        if len(tokens) == GT_FIELD_COUNT:
+            values.append(math.nan)
+        names.append(tokens[0])
+        rows.append(values)
+        line_numbers.append(line_number)
+    return LabelTable(names, np.array(rows, dtype=float).reshape(-1, COLUMNS), line_numbers)
 
 
 def parse_calib_file(text: str) -> CameraCalibration:
@@ -225,8 +243,9 @@ def write_prediction_file(annotations: list[ObjectAnnotation]) -> str:
     return "".join(format_label_line(a) + "\n" for a in annotations)
 
 
-def assign_difficulty(a: ObjectAnnotation) -> Difficulty:
-    """Map an annotation to its easiest satisfied KITTI difficulty tier.
+def assign_difficulty(table: LabelTable) -> np.ndarray:
+    """Each row's easiest satisfied KITTI difficulty tier, as its
+    :class:`Difficulty` code; a one-row table gives one object's.
 
     Easy: box height > 40 px, truncation <= 0.15, fully visible.
     Moderate: height > 25 px, truncation <= 0.30, occlusion <= 1.
@@ -234,14 +253,12 @@ def assign_difficulty(a: ObjectAnnotation) -> Difficulty:
     Anything else (including occlusion code 3, "unknown") is ignored by
     the metrics.
     """
-    h = a.box_height
-    if h > 40 and a.truncation <= 0.15 and a.occlusion == 0:
-        return Difficulty.EASY
-    if h > 25 and a.truncation <= 0.30 and 0 <= a.occlusion <= 1:
-        return Difficulty.MODERATE
-    if h > 25 and a.truncation <= 0.50 and 0 <= a.occlusion <= 2:
-        return Difficulty.HARD
-    return Difficulty.IGNORED
+    v = table.values
+    height, truncation, occlusion = v[:, BOTTOM] - v[:, TOP], v[:, TRUNCATION], v[:, OCCLUSION]
+    # Easiest first: np.select gives each row the first tier whose rule it meets.
+    return np.select([(height > h) & (truncation <= t) & (occlusion >= 0) & (occlusion <= o)
+                      for h, t, o in ((40, 0.15, 0), (25, 0.30, 1), (25, 0.50, 2))],
+                     [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD], Difficulty.IGNORED)
 
 
 def read_split_file(text: str) -> list[str]:

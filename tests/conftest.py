@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from mono3d.kitti_io import CameraCalibration, ObjectAnnotation, write_prediction_file
+from mono3d.kitti_io import (ALPHA, BOTTOM, DIMS, GT_FIELD_COUNT, LEFT, LOCATION, OCCLUSION,
+                             PRED_FIELD_COUNT, ROTATION_Y, SCORE, TRUNCATION,
+                             CameraCalibration, Difficulty, LabelFormatError, ObjectAnnotation,
+                             write_prediction_file)
 
 KITTI_F = 721.5377
 KITTI_THETA = 609.5593
@@ -15,6 +18,89 @@ CALIB_TEXT = (
     "0.2163791 0 0 1 0.002745884\n"
     "R0_rect: 1 0 0 0 1 0 0 0 1\n"
 )
+
+
+def reference_parse_fields(tokens: list[str], line_number: int) -> ObjectAnnotation:
+    """Oracle for the table parser's per-line rules: the record parser it
+    replaced, field by field over Python floats."""
+    values = []
+    for i, tok in enumerate(tokens[1:], start=1):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise LabelFormatError(f"field {tok!r} is not a number",
+                                   line_number=line_number, field_index=i) from None
+        if not math.isfinite(value):
+            raise LabelFormatError(f"field {tok!r} is not finite",
+                                   line_number=line_number, field_index=i)
+        values.append(value)
+    if not values[1].is_integer():
+        raise LabelFormatError(f"occlusion {tokens[2]!r} is not an integer",
+                               line_number=line_number, field_index=2)
+    if tokens[0] != "DontCare":  # DontCare rows keep their -1 placeholders
+        for i in (8, 9, 10):
+            if values[i - 1] < 0:
+                raise LabelFormatError(f"dimension {tokens[i]!r} is negative",
+                                       line_number=line_number, field_index=i)
+        for lo, hi in ((4, 6), (5, 7)):  # (left, right), (top, bottom)
+            if values[hi - 1] < values[lo - 1]:
+                raise LabelFormatError(
+                    f"2D box edge {tokens[hi]!r} lies before {tokens[lo]!r}",
+                    line_number=line_number, field_index=hi)
+        # Result files may write -1 for an unknown truncation; labels may not.
+        if len(tokens) == GT_FIELD_COUNT and not 0.0 <= values[0] <= 1.0:
+            raise LabelFormatError(f"truncation {tokens[1]!r} is outside [0, 1]",
+                                   line_number=line_number, field_index=1)
+    score = values[14] if len(values) == 15 else None
+    return ObjectAnnotation(
+        class_name=tokens[0],
+        truncation=values[0],
+        occlusion=int(values[1]),
+        alpha=values[2],
+        box2d=(values[3], values[4], values[5], values[6]),
+        dims=(values[7], values[8], values[9]),
+        location=(values[10], values[11], values[12]),
+        rotation_y=values[13],
+        score=score,
+    )
+
+
+def reference_parse_label_line(line: str, line_number: int = 1) -> ObjectAnnotation:
+    tokens = line.split()
+    if len(tokens) not in (GT_FIELD_COUNT, PRED_FIELD_COUNT):
+        raise LabelFormatError(
+            f"expected {GT_FIELD_COUNT} or {PRED_FIELD_COUNT} fields, got {len(tokens)}",
+            line_number=line_number)
+    return reference_parse_fields(tokens, line_number)
+
+
+def reference_parse_label_file(text: str) -> list[ObjectAnnotation]:
+    """Oracle for ``parse_label_file``: one record per non-blank line."""
+    return [reference_parse_label_line(line, line_number)
+            for line_number, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def reference_assign_difficulty(a: ObjectAnnotation) -> Difficulty:
+    """Oracle for the vectorised ``assign_difficulty``: one record's
+    easiest satisfied tier, rule by rule."""
+    h = a.box2d[3] - a.box2d[1]
+    if h > 40 and a.truncation <= 0.15 and a.occlusion == 0:
+        return Difficulty.EASY
+    if h > 25 and a.truncation <= 0.30 and 0 <= a.occlusion <= 1:
+        return Difficulty.MODERATE
+    if h > 25 and a.truncation <= 0.50 and 0 <= a.occlusion <= 2:
+        return Difficulty.HARD
+    return Difficulty.IGNORED
+
+
+def records(table) -> list[ObjectAnnotation]:
+    """A table's rows as records, the inverse of ``LabelTable.of``."""
+    return [ObjectAnnotation(
+        class_name=name, truncation=row[TRUNCATION], occlusion=int(row[OCCLUSION]),
+        alpha=row[ALPHA], box2d=tuple(row[LEFT:BOTTOM + 1]), dims=tuple(row[DIMS]),
+        location=tuple(row[LOCATION]), rotation_y=row[ROTATION_Y],
+        score=None if math.isnan(row[SCORE]) else row[SCORE])
+        for name, row in zip(table.class_names, table.values.tolist())]
 
 
 def make_car(x=0.0, y=1.6, z=20.0, height_px=60.0, width_px=90.0,

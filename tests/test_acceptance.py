@@ -5,6 +5,7 @@ them). Tolerances are fixed here and nowhere else.
 """
 
 import json
+import math
 import time
 from contextlib import contextmanager
 
@@ -17,7 +18,8 @@ from mono3d.evaluation import (MatchResult, average_precision, iou_3d,
                                monte_carlo_iou_3d, random_box_pair)
 from mono3d.geometry import (Box2D, Box3D, box3d_corners, forward_project,
                              inverse_project)
-from mono3d.kitti_io import (CameraCalibration, ObjectAnnotation, parse_label_file,
+from mono3d.kitti_io import (LOCATION, OCCLUSION, ROTATION_Y, SCORE, CameraCalibration,
+                             LabelTable, ObjectAnnotation, parse_label_file,
                              write_prediction_file)
 from mono3d.locality import (FeatureBatch, LinearHead, build_graph, reg_gradient,
                              reg_pairwise, reg_trace)
@@ -221,26 +223,23 @@ def test_criterion_7_parser_round_trip():
         rng = np.random.default_rng(7)
         annotations = [fuzz_annotation(rng) for _ in range(500)]
         parsed = parse_label_file(write_prediction_file(annotations))
+        before = LabelTable.of(annotations)
         assert len(parsed) == 500
-        for before, after in zip(annotations, parsed):
-            assert after.class_name == before.class_name
-            assert after.occlusion == before.occlusion
-            scalars = [("truncation",), ("alpha",), ("rotation_y",), ("score",)]
-            for (name,) in scalars:
-                assert abs(getattr(after, name) - getattr(before, name)) <= 5.1e-7
-            for name in ("box2d", "dims", "location"):
-                for va, vb in zip(getattr(after, name), getattr(before, name)):
-                    assert abs(va - vb) <= 5.1e-7
+        assert parsed.class_names == before.class_names
+        # Every column, the score included: occlusion exactly, the rest
+        # to 6 decimals.
+        assert (parsed.values[:, OCCLUSION] == before.values[:, OCCLUSION]).all()
+        assert (np.abs(parsed.values - before.values) <= 5.1e-7).all()
 
         line = ("Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 "
                 "1.65 1.67 3.64 -0.65 1.71 46.70 -1.59")
-        (a,) = parse_label_file(line)
-        assert a.class_name == "Car"
-        assert a.location[2] == pytest.approx(46.70)
-        assert a.rotation_y == pytest.approx(-1.59)
-        assert a.score is None
-        (b,) = parse_label_file(line + " 0.97")
-        assert b.score == pytest.approx(0.97)
+        a = parse_label_file(line)
+        assert a.class_names == ["Car"]
+        assert a.values[0, LOCATION][2] == pytest.approx(46.70)
+        assert a.values[0, ROTATION_Y] == pytest.approx(-1.59)
+        assert math.isnan(a.values[0, SCORE])
+        b = parse_label_file(line + " 0.97")
+        assert b.values[0, SCORE] == pytest.approx(0.97)
 
 
 def test_criterion_8_toy_regularizer_effect():

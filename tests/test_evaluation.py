@@ -7,13 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_car
+from conftest import make_car, records, reference_assign_difficulty
 from mono3d import evaluation
-from mono3d.evaluation import (MatchResult, average_precision, bev_iou, clip_convex,
-                               evaluate_frames, iou_3d, localization_report,
-                               monte_carlo_iou_3d, polygon_area, random_box_pair)
+from mono3d.evaluation import (MatchResult, average_precision, bev_iou, clip_convex, iou_3d,
+                               localization_report, monte_carlo_iou_3d, polygon_area,
+                               random_box_pair)
 from mono3d.geometry import Box3D, bev_footprint, yaw_matrix
-from mono3d.kitti_io import Difficulty, assign_difficulty
+from mono3d.kitti_io import DIMS, LOCATION, ROTATION_Y, Difficulty, LabelTable, parse_label_file
+
+
+def tables(records_by_frame):
+    """Each frame's records as one label table."""
+    return {frame: LabelTable.of(records) for frame, records in records_by_frame.items()}
+
+
+def evaluate_frames(gts_by_frame, preds_by_frame, **kwargs):
+    """``evaluation.evaluate_frames`` of each side's records, as tables."""
+    return evaluation.evaluate_frames(tables(gts_by_frame), tables(preds_by_frame), **kwargs)
 
 
 def box(cx=0.0, cy=0.0, cz=0.0, h=1.0, w=1.0, length=1.0, yaw=0.0):
@@ -117,9 +127,9 @@ def frame_table(preds, gts):
     truth) pair of one frame, shape ``(2, len(preds), len(gts))``, from the
     split's overlap pass."""
     def columns(objects, side):
-        return evaluation._box_columns(
-            evaluation._box_stack((a.location, a.dims, a.rotation_y) for a in objects),
-            lambda i: f"{side} {i}")
+        v = LabelTable.of(objects).values
+        return evaluation._box_columns(Box3D(v[:, LOCATION], v[:, DIMS], v[:, ROTATION_Y]),
+                                       lambda i: f"{side} {i}")
 
     rows, cols = np.indices((len(preds), len(gts))).reshape(2, -1)
     return evaluation._pair_overlaps(columns(preds, "prediction"), columns(gts, "ground truth"),
@@ -241,8 +251,9 @@ class TestBatchedClipOracle:
         cols = [random_box_pair(rng)[1] for _ in range(n_cols.sum())]
 
         def stack(boxes):
-            return evaluation._box_columns(
-                evaluation._box_stack((b.center, b.dims, b.yaw) for b in boxes), str)
+            center, dims, yaw = (np.array(v, dtype=float)
+                                 for v in zip(*((b.center, b.dims, b.yaw) for b in boxes)))
+            return evaluation._box_columns(Box3D(center, dims, yaw), str)
 
         # Frame by frame, each frame's (row, column) matrix row-major.
         pair_rows, pair_cols = np.concatenate(
@@ -658,7 +669,7 @@ class TestEvaluateFrames:
         preds = {}
         for frame, annotations in frames.items():
             preds[frame] = [make_car(x=a.location[0], y=a.location[1], z=a.location[2],
-                                     height_px=a.box_height, left=a.box2d[0],
+                                     height_px=a.box2d[3] - a.box2d[1], left=a.box2d[0],
                                      truncation=a.truncation, occlusion=a.occlusion,
                                      yaw=a.rotation_y, score=0.9)
                             for a in annotations if a.class_name == "Car"]
@@ -675,6 +686,18 @@ class TestEvaluateFrames:
         frames = frame_annotations()
         with pytest.raises(ValueError, match="ap mode must be '11' or '40', got '7'"):
             evaluate_frames(frames, {"000000": []}, ap_mode="7")
+
+    def test_prediction_frame_outside_the_split_is_rejected(self):
+        # A 0.9 false positive in frame 000009 would take the AP from 1 to
+        # 0.545 if 000009 were in the split; outside it, it is an error.
+        gts = {"000000": [make_car()]}
+        preds = {"000000": [make_car(score=0.8)], "000009": [make_car(x=8.0, score=0.9)]}
+        with pytest.raises(ValueError, match=r"^frame '000009' has predictions but no "
+                                             r"ground truth$"):
+            evaluate_frames(gts, preds, thresholds=(0.5,))
+        report = evaluate_frames({**gts, "000009": []}, preds, thresholds=(0.5,))
+        assert report["frames"] == 2
+        assert report["ap_3d"]["easy"]["0.5"] == pytest.approx(6 / 11)
 
     def test_empty_predictions_zero_ap(self):
         from conftest import frame_annotations
@@ -848,7 +871,8 @@ class TestSharedOverlaps:
                make_car(x=3.0, dims=flat)]
         preds = [make_car(x=-3.0, dims=flat, score=0.2),
                  make_car(x=3.0, dims=flat, score=0.8)]
-        assert [assign_difficulty(g) for g in gts] == [Difficulty.MODERATE, Difficulty.EASY]
+        assert [reference_assign_difficulty(g) for g in gts] == \
+            [Difficulty.MODERATE, Difficulty.EASY]
         with pytest.raises(ValueError, match=r"^frame '000007', prediction 1 and ground "
                                              r"truth 0: both boxes are degenerate$"):
             evaluate_frames({"000007": gts}, {"000007": preds})
@@ -984,7 +1008,7 @@ def oracle_evaluate(gts_by_frame, preds_by_frame, thresholds, ap_mode="11", over
     scores = {f: reference_frame_scores(class_preds[f], f, positions[f][0]) for f in frames}
     if overlaps is None:
         overlaps = {f: frame_table(class_preds[f], class_gts[f]) for f in frames}
-    tiers = {f: [assign_difficulty(g) for g in class_gts[f]] for f in frames}
+    tiers = {f: [reference_assign_difficulty(g) for g in class_gts[f]] for f in frames}
     passes, loc_matches = [], []
     for difficulty in (Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD):
         name = difficulty.name.lower()
@@ -1087,7 +1111,7 @@ def tiered_car(tier, **kwargs):
         Difficulty.EASY: (60.0, 0.0, 0), Difficulty.MODERATE: (30.0, 0.2, 1),
         Difficulty.HARD: (30.0, 0.4, 2), Difficulty.IGNORED: (20.0, 0.0, 0)}[tier]
     car = make_car(height_px=height_px, truncation=truncation, occlusion=occlusion, **kwargs)
-    assert assign_difficulty(car) == tier
+    assert reference_assign_difficulty(car) == tier
     return car
 
 
@@ -1108,12 +1132,12 @@ def edge_split(seed):
 
 @pytest.fixture(scope="module")
 def synthetic_500(tmp_path_factory):
-    """The 500-frame `make_synthetic_kitti.py --seed 0` corpus, parsed."""
+    """The 500-frame `make_synthetic_kitti.py --seed 0` corpus, parsed
+    into records."""
     import runpy
     import sys
     from pathlib import Path
 
-    from mono3d.kitti_io import parse_label_file
     root = tmp_path_factory.mktemp("synthetic") / "corpus"
     script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_kitti.py"
     argv = sys.argv
@@ -1123,8 +1147,8 @@ def synthetic_500(tmp_path_factory):
     finally:
         sys.argv = argv
     frames = (root / "split.txt").read_text().split()
-    return ({f: parse_label_file((root / "label_2" / f"{f}.txt").read_text()) for f in frames},
-            {f: parse_label_file((root / "pred" / f"{f}.txt").read_text()) for f in frames})
+    return tuple({f: records(parse_label_file((root / side / f"{f}.txt").read_text()))
+                  for f in frames} for side in ("label_2", "pred"))
 
 
 WIDE = (0.7, 0.1, 0.25, 0.5)
@@ -1263,9 +1287,10 @@ class TestPadding:
         return gts, preds
 
     def peak(self, gts, preds):
+        gts, preds = tables(gts), tables(preds)
         tracemalloc.start()
         try:
-            report = evaluate_frames(gts, preds, thresholds=WIDE)
+            report = evaluation.evaluate_frames(gts, preds, thresholds=WIDE)
             return report, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

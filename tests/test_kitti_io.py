@@ -1,14 +1,18 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mono3d.kitti_io import (CalibFormatError, Difficulty,
-                             LabelFormatError, ObjectAnnotation, assign_difficulty,
-                             format_label_line, frame_id, parse_calib_file, parse_label_file,
-                             read_split_file, write_prediction_file)
+from conftest import reference_assign_difficulty, reference_parse_label_file, records
+from test_fuzz_cli import TOKENS as FUZZ_TOKENS
+from mono3d.kitti_io import (ALPHA, BOTTOM, DIMS, LEFT, LOCATION, OCCLUSION, ROTATION_Y, SCORE,
+                             TOP, TRUNCATION, CalibFormatError, Difficulty, LabelFormatError,
+                             LabelTable, ObjectAnnotation, assign_difficulty, format_label_line,
+                             frame_id, parse_calib_file, parse_label_file, read_split_file,
+                             write_prediction_file)
 
 FIXTURE_LINE = ("Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 "
                 "1.65 1.67 3.64 -0.65 1.71 46.70 -1.59")
@@ -16,28 +20,31 @@ FIXTURE_LINE = ("Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 "
 
 class TestParseLabelFile:
     def test_fixture_line_fields(self):
-        (a,) = parse_label_file(FIXTURE_LINE)
-        assert a.class_name == "Car"
-        assert a.truncation == 0.0
-        assert a.occlusion == 0
-        assert a.alpha == pytest.approx(-1.58)
-        assert a.box2d == pytest.approx((587.01, 173.33, 614.12, 200.12))
-        assert a.dims == pytest.approx((1.65, 1.67, 3.64))
-        assert a.location == pytest.approx((-0.65, 1.71, 46.70))
-        assert a.rotation_y == pytest.approx(-1.59)
-        assert a.score is None
+        table = parse_label_file(FIXTURE_LINE)
+        assert (table.class_names, table.line_numbers) == (["Car"], [1])
+        (row,) = table.values
+        assert row.dtype == np.float64
+        assert row[TRUNCATION] == 0.0
+        assert row[OCCLUSION] == 0
+        assert row[ALPHA] == pytest.approx(-1.58)
+        assert row[LEFT:BOTTOM + 1] == pytest.approx((587.01, 173.33, 614.12, 200.12))
+        assert row[DIMS] == pytest.approx((1.65, 1.67, 3.64))
+        assert row[LOCATION] == pytest.approx((-0.65, 1.71, 46.70))
+        assert row[ROTATION_Y] == pytest.approx(-1.59)
+        assert math.isnan(row[SCORE])
 
     def test_empty_file(self):
-        assert parse_label_file("") == []
-        assert parse_label_file("\n\n") == []
+        for text in ("", "\n\n"):
+            table = parse_label_file(text)
+            assert len(table) == 0
+            assert (table.class_names, table.values.shape, table.line_numbers) == ([], (0, 15), [])
 
     def test_trailing_score(self):
-        (a,) = parse_label_file(FIXTURE_LINE + " 0.97")
-        assert a.score == pytest.approx(0.97)
+        table = parse_label_file(FIXTURE_LINE + " 0.97")
+        assert table.values[0, SCORE] == pytest.approx(0.97)
 
     def test_unknown_class_preserved(self):
-        (a,) = parse_label_file(FIXTURE_LINE.replace("Car", "Tram"))
-        assert a.class_name == "Tram"
+        assert parse_label_file(FIXTURE_LINE.replace("Car", "Tram")).class_names == ["Tram"]
 
     @pytest.mark.parametrize("n_fields", [14, 17])
     def test_wrong_field_count(self, n_fields):
@@ -77,8 +84,7 @@ class TestParseLabelFile:
     def test_integral_occlusion_written_as_real(self):
         tokens = FIXTURE_LINE.split()
         tokens[2] = "2.0"
-        (a,) = parse_label_file(" ".join(tokens))
-        assert a.occlusion == 2
+        assert parse_label_file(" ".join(tokens)).values[0, OCCLUSION] == 2.0
 
     @pytest.mark.parametrize("field_index", [8, 9, 10])
     def test_negative_dimension_located(self, field_index):
@@ -92,8 +98,7 @@ class TestParseLabelFile:
     def test_zero_dimension_accepted(self):
         tokens = FIXTURE_LINE.split()
         tokens[9] = "0.00"
-        (a,) = parse_label_file(" ".join(tokens))
-        assert a.dims == pytest.approx((1.65, 0.0, 3.64))
+        assert parse_label_file(" ".join(tokens)).values[0, DIMS] == pytest.approx((1.65, 0.0, 3.64))
 
     @pytest.mark.parametrize("field_index,value", [(6, "587.00"), (7, "173.32"),
                                                    (6, "0"), (7, "-200.12")])
@@ -111,8 +116,8 @@ class TestParseLabelFile:
         assert exc.value.field_index == 7
 
     def test_zero_size_box_accepted(self):
-        (a,) = parse_label_file("Car 0 0 0 10 60 10 60 1.5 1.6 3.9 1 1.6 10 0.9")
-        assert a.box_height == 0.0
+        table = parse_label_file("Car 0 0 0 10 60 10 60 1.5 1.6 3.9 1 1.6 10 0.9")
+        assert table.values[0, BOTTOM] - table.values[0, TOP] == 0.0
 
     @pytest.mark.parametrize("value", ["1.7", "-0.01", "-1", "1.000001"])
     def test_truncation_out_of_range_located(self, value):
@@ -127,26 +132,27 @@ class TestParseLabelFile:
     def test_truncation_bounds_accepted(self, value):
         tokens = FIXTURE_LINE.split()
         tokens[1] = value
-        (a,) = parse_label_file(" ".join(tokens))
-        assert a.truncation == float(value)
+        assert parse_label_file(" ".join(tokens)).values[0, TRUNCATION] == float(value)
 
     def test_prediction_keeps_unknown_truncation(self):
         # KITTI result files write -1 for fields a detector does not estimate.
-        (a,) = parse_label_file(FIXTURE_LINE.replace("Car 0.00", "Car -1") + " 0.9")
-        assert a.truncation == -1.0
-        assert a.score == pytest.approx(0.9)
+        table = parse_label_file(FIXTURE_LINE.replace("Car 0.00", "Car -1") + " 0.9")
+        assert table.values[0, TRUNCATION] == -1.0
+        assert table.values[0, SCORE] == pytest.approx(0.9)
 
     def test_dont_care_keeps_placeholders(self):
         line = "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10"
-        (a,) = parse_label_file(line)
-        assert a.occlusion == -1
-        assert a.dims == (-1.0, -1.0, -1.0)
-        assert a.location == (-1000.0, -1000.0, -1000.0)
+        (row,) = parse_label_file(line).values
+        assert row[OCCLUSION] == -1.0
+        assert row[DIMS].tolist() == [-1.0, -1.0, -1.0]
+        assert row[LOCATION].tolist() == [-1000.0, -1000.0, -1000.0]
 
     def test_file_order_preserved(self):
         text = "\n".join([FIXTURE_LINE.replace("Car", c)
                           for c in ("Car", "Van", "Truck")])
-        assert [a.class_name for a in parse_label_file(text)] == ["Car", "Van", "Truck"]
+        table = parse_label_file("\n" + text)
+        assert table.class_names == ["Car", "Van", "Truck"]
+        assert table.line_numbers == [2, 3, 4]
 
 
 class TestParseCalibFile:
@@ -195,17 +201,17 @@ class TestParseCalibFile:
 
 class TestFormatLabelLine:
     def test_fifteen_fields_without_a_score(self):
-        (a,) = parse_label_file(FIXTURE_LINE)
+        (a,) = records(parse_label_file(FIXTURE_LINE))
         line = format_label_line(a)
         assert len(line.split()) == 15
-        assert format_label_line(parse_label_file(line)[0]) == line
+        assert format_label_line(records(parse_label_file(line))[0]) == line
 
     def test_sixteen_fields_with_a_score(self):
-        (a,) = parse_label_file(FIXTURE_LINE + " 0.97")
+        (a,) = records(parse_label_file(FIXTURE_LINE + " 0.97"))
         line = format_label_line(a)
         assert len(line.split()) == 16
         assert line.split()[-1] == "0.970000"
-        assert format_label_line(parse_label_file(line)[0]) == line
+        assert format_label_line(records(parse_label_file(line))[0]) == line
 
 
 class TestWritePredictionFile:
@@ -213,21 +219,22 @@ class TestWritePredictionFile:
         assert write_prediction_file([]) == ""
 
     def test_requires_score(self):
-        (a,) = parse_label_file(FIXTURE_LINE)
+        (a,) = records(parse_label_file(FIXTURE_LINE))
         with pytest.raises(ValueError):
             write_prediction_file([a])
 
     def test_order_and_line_count(self):
-        (a,) = parse_label_file(FIXTURE_LINE + " 0.9")
-        b = parse_label_file(FIXTURE_LINE.replace("Car", "Van") + " 0.5")[0]
+        (a,) = records(parse_label_file(FIXTURE_LINE + " 0.9"))
+        (b,) = records(parse_label_file(FIXTURE_LINE.replace("Car", "Van") + " 0.5"))
         out = write_prediction_file([a, b, a])
         assert len(out.splitlines()) == 3
         assert [l.split()[0] for l in out.splitlines()] == ["Car", "Van", "Car"]
 
     def test_single_round_trip(self):
-        (a,) = parse_label_file(FIXTURE_LINE + " 0.97")
-        (back,) = parse_label_file(write_prediction_file([a]))
-        assert back == a
+        table = parse_label_file(FIXTURE_LINE + " 0.97")
+        back = parse_label_file(write_prediction_file(records(table)))
+        assert back.class_names == table.class_names
+        assert back.values.tolist() == table.values.tolist()
 
 
 def annotation_strategy(with_score=True):
@@ -266,29 +273,32 @@ class TestRoundTripProperty:
     @given(st.lists(annotation_strategy(), max_size=8))
     def test_write_then_parse_identity_at_6_decimals(self, annotations):
         parsed = parse_label_file(write_prediction_file(annotations))
+        before = LabelTable.of(annotations)
         assert len(parsed) == len(annotations)
-        for before, after in zip(annotations, parsed):
-            assert after.class_name == before.class_name
-            assert after.occlusion == before.occlusion
-            for name in ("truncation", "alpha", "rotation_y", "score"):
-                assert getattr(after, name) == pytest.approx(
-                    getattr(before, name), abs=5.1e-7)
-            for name in ("box2d", "dims", "location"):
-                assert getattr(after, name) == pytest.approx(
-                    getattr(before, name), abs=5.1e-7)
+        assert parsed.class_names == before.class_names
+        assert parsed.line_numbers == list(range(1, len(annotations) + 1))
+        assert (parsed.values[:, OCCLUSION] == before.values[:, OCCLUSION]).all()
+        assert np.abs(parsed.values - before.values).max(initial=0.0) <= 5.1e-7
 
     @settings(max_examples=50)
     @given(st.lists(annotation_strategy(), max_size=5))
     def test_serialisation_is_a_fixpoint(self, annotations):
         once = write_prediction_file(annotations)
-        assert write_prediction_file(parse_label_file(once)) == once
+        assert write_prediction_file(records(parse_label_file(once))) == once
+
+
+def tier(a: ObjectAnnotation) -> Difficulty:
+    """``assign_difficulty`` of one record, through a one-row table."""
+    (code,) = assign_difficulty(LabelTable.of([a])).tolist()
+    return Difficulty(code)
 
 
 class TestAssignDifficulty:
-    def make(self, height, trunc, occ):
+    def make(self, height, trunc, occ, class_name="Car"):
+        # top = 0, so the box height is exactly bottom - top = height.
         return ObjectAnnotation(
-            class_name="Car", truncation=trunc, occlusion=occ, alpha=0.0,
-            box2d=(100.0, 100.0, 150.0, 100.0 + height), dims=(1.5, 1.6, 3.9),
+            class_name=class_name, truncation=trunc, occlusion=occ, alpha=0.0,
+            box2d=(100.0, 0.0, 150.0, height), dims=(1.5, 1.6, 3.9),
             location=(0.0, 1.6, 20.0), rotation_y=0.0)
 
     @pytest.mark.parametrize("height,trunc,occ,expected", [
@@ -304,17 +314,114 @@ class TestAssignDifficulty:
         (25, 0.0, 0, Difficulty.IGNORED),   # and exceed 25 for the rest
     ])
     def test_tiers(self, height, trunc, occ, expected):
-        assert assign_difficulty(self.make(height, trunc, occ)) == expected
+        assert tier(self.make(height, trunc, occ)) == expected
 
     @given(st.floats(min_value=10, max_value=120, allow_nan=False),
            st.floats(min_value=0, max_value=1, allow_nan=False),
            st.sampled_from([0, 1, 2, 3]))
     def test_monotone_in_all_criteria(self, height, trunc, occ):
         # relaxing any criterion never moves an object to a harder tier
-        base = assign_difficulty(self.make(height, trunc, occ))
-        assert assign_difficulty(self.make(height + 5, trunc, occ)) <= base
-        assert assign_difficulty(self.make(height, max(trunc - 0.1, 0), occ)) <= base
-        assert assign_difficulty(self.make(height, trunc, max(occ - 1, 0))) <= base
+        base = tier(self.make(height, trunc, occ))
+        assert tier(self.make(height + 5, trunc, occ)) <= base
+        assert tier(self.make(height, max(trunc - 0.1, 0), occ)) <= base
+        assert tier(self.make(height, trunc, max(occ - 1, 0))) <= base
+
+    def test_every_tier_boundary_matches_the_scalar_rules(self):
+        # Each height and truncation bound, one ulp either side, under
+        # every occlusion code, for Cars and for DontCare rows with their
+        # -1 placeholders; one call tiers them all.
+        def around(bound):
+            return [np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)]
+
+        heights = [0.0, *around(25.0), 30.0, *around(40.0), 60.0]
+        truncations = [-1.0, 0.0, *around(0.15), *around(0.30), *around(0.50), 1.0]
+        cars = [self.make(float(h), float(t), occ) for h in heights for t in truncations
+                for occ in range(-1, 4)]
+        dont_care = [self.make(float(h), -1.0, -1, class_name="DontCare") for h in heights]
+        objects = cars + dont_care
+        expected = [int(reference_assign_difficulty(a)) for a in objects]
+        assert assign_difficulty(LabelTable.of(objects)).tolist() == expected
+        assert [tier(a) for a in objects] == expected
+        assert set(expected) == set(Difficulty)
+
+
+# Label lines the mutations start from: a label, a prediction, a
+# prediction with an unknown truncation, and a DontCare row.
+BASE_LINES = [FIXTURE_LINE, FIXTURE_LINE + " 0.97",
+              FIXTURE_LINE.replace("Car 0.00", "Car -1") + " 0.9",
+              "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10"]
+MUTATIONS = [*FUZZ_TOKENS, "+nan", "Infinity", "-Infinity", "1e-400", "-1", "0", "2", "3",
+             "1.7", "0.5", "-1.5", "1_000", "\u0663", "DontCare"]
+
+
+@st.composite
+def mutated_label_file(draw):
+    """1-5 base lines, each maybe blank-separated, with up to four fields
+    replaced by awkward tokens and maybe a later line a field short or
+    long."""
+    lines = [line.split(" ") for line in
+             draw(st.lists(st.sampled_from(BASE_LINES), min_size=1, max_size=5))]
+    token = st.sampled_from(MUTATIONS) | st.text("0123456789-+._eEx", min_size=1, max_size=5)
+    for _ in range(draw(st.integers(0, 4))):
+        fields = lines[draw(st.integers(0, len(lines) - 1))]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(token)
+    if len(lines) > 1 and draw(st.booleans()):
+        fields = lines[draw(st.integers(1, len(lines) - 1))]
+        if draw(st.booleans()):
+            fields.pop()
+        else:
+            fields.append(draw(token))
+    separators = draw(st.lists(st.sampled_from(["\n", "\n\n", "\n \n"]),
+                               min_size=len(lines), max_size=len(lines)))
+    return "".join(" ".join(fields) + sep for fields, sep in zip(lines, separators))
+
+
+def parsed_or_error(parse, text):
+    try:
+        return parse(text), None
+    except LabelFormatError as exc:
+        return None, (str(exc), exc.line_number, exc.field_index)
+
+
+def assert_parsers_agree(text):
+    """The table parser accepts and rejects ``text`` as the record parser
+    it replaced does, with the same message and location, and its columns
+    hold the records' values bit for bit."""
+    table, error = parsed_or_error(parse_label_file, text)
+    annotations, expected_error = parsed_or_error(reference_parse_label_file, text)
+    assert error == expected_error
+    if error is not None:
+        return
+    expected = LabelTable.of(annotations)
+    assert table.class_names == expected.class_names
+    assert table.line_numbers == [n for n, line in enumerate(text.splitlines(), start=1)
+                                  if line.strip()]
+    # A record keeps occlusion as an int, so a "-0" is 0 there and -0.0 in
+    # the table: that column compares by value.
+    others = np.arange(table.values.shape[1]) != OCCLUSION
+    assert table.values[:, others].tobytes() == expected.values[:, others].tobytes()
+    assert table.values[:, OCCLUSION].tolist() == expected.values[:, OCCLUSION].tolist()
+
+
+class TestParserParity:
+    @settings(max_examples=500)
+    @given(mutated_label_file())
+    def test_matches_the_record_parser(self, text):
+        assert_parsers_agree(text)
+
+    @pytest.mark.parametrize("text", [
+        FIXTURE_LINE + "\n" + FIXTURE_LINE.rsplit(" ", 1)[0],
+        FIXTURE_LINE + "\n\n" + FIXTURE_LINE + " 0.9 0.9",
+        FIXTURE_LINE.replace("0.00", "+nan", 1),
+        FIXTURE_LINE.replace("46.70", "Infinity"),
+        FIXTURE_LINE.replace("46.70", "1_0"),
+        FIXTURE_LINE.replace("46.70", "0x10"),
+        FIXTURE_LINE.replace("46.70", "\u00b2"),
+        FIXTURE_LINE.replace("614.12", "500").replace("200.12", "100"),
+    ], ids=["short-later-line", "long-later-line", "+nan", "Infinity", "underscore", "hex",
+            "superscript", "both-edges-inverted"])
+    def test_seed_mutations(self, text):
+        assert_parsers_agree(text)
 
 
 class TestSplits:

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from mono3d.cli import main
-from mono3d.kitti_io import format_label_line, parse_label_line
+from conftest import records
+from mono3d.kitti_io import format_label_line, parse_label_file
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -121,9 +122,12 @@ def test_validate_json_matches_golden_digest(corpus_60, tmp_path):
 
 @pytest.mark.parametrize("kind,fields", [("label_2", 15), ("pred", 16)])
 def test_label_lines_come_back_through_parse_and_format(corpus_60, kind, fields):
-    lines = [line for path in sorted((corpus_60 / kind).iterdir())
-             for line in path.read_text().splitlines()]
-    assert len(lines) > 100
-    for number, line in enumerate(lines, start=1):
-        assert len(line.split()) == fields
-        assert format_label_line(parse_label_line(line, number)) == line
+    n_lines = 0
+    for path in sorted((corpus_60 / kind).iterdir()):
+        lines = path.read_text().splitlines()
+        table = parse_label_file(path.read_text())
+        assert table.line_numbers == list(range(1, len(lines) + 1))
+        assert all(len(line.split()) == fields for line in lines)
+        assert [format_label_line(a) for a in records(table)] == lines
+        n_lines += len(lines)
+    assert n_lines > 100

@@ -221,7 +221,7 @@ def cmd_eval(args) -> int:
     bins = report["localization"]["depth_bins"] if report["localization"] else []
     _write_csv(args.out.with_name(args.out.stem + "_depth_bins.csv"),
                ["depth_lo", "depth_hi", "count", "ra_u", "ra_v", "ra_z"],
-               [[b[k] for k in ("lo", "hi", "count", "ra_u", "ra_v", "ra_z")] for b in bins])
+               [list(b.values()) for b in bins])
 
     print(f"eval: {len(gts_by_frame)} frames, {len(missing)} without predictions -> {args.out}")
     return EXIT_OK
@@ -271,8 +271,6 @@ def _toy_table(seeds: list[int], reports: dict) -> list[str]:
     arms = [(key, short) for key, short in (("regularized", "reg"),
                                             ("unregularized", "unreg"))
             if reports[key]]
-    if not arms:
-        return []
     lines = [f"{'seed':>6}" + "".join(f" {'viol ' + short:>11} {'epochs ' + short:>13}"
                                       f" {'final L1 ' + short:>15}"
                                       for _, short in arms)]

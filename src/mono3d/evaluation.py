@@ -173,10 +173,11 @@ def clip_convex(subjects: np.ndarray, clips: np.ndarray) -> tuple[np.ndarray, np
     return vertices, counts - closing
 
 
-# A metric's plane in _pair_overlaps' values, and the error for a pair
-# that is degenerate in both boxes under each.
-_METRICS = {"3d": 0, "bev": 1}
-_DEGENERATE = ("both boxes are degenerate", "both footprints are degenerate")
+# One row per plane of _pair_overlaps' values, in plane order: the
+# metric's name in pr_curves keys, its report key, and the error for a
+# pair that is degenerate in both boxes under it.
+_PLANES = (("3d", "ap_3d", "both boxes are degenerate"),
+           ("bev", "ap_bev", "both footprints are degenerate"))
 
 # (prediction, ground truth) pairs clipped at a time: bounds the clip's
 # temporaries, so memory does not grow with the split.
@@ -232,7 +233,7 @@ def _pair_overlaps(row_boxes: tuple[np.ndarray, ...], col_boxes: tuple[np.ndarra
     pair_cols[k])``, shape ``(2, len(pair_rows))``. The two sides are
     :func:`_box_columns` of box stacks. Every pair is clipped in one
     batched pass, with the row box as the subject. A pair holds NaN under
-    a metric where both boxes are degenerate (zero area or volume)."""
+    a metric where both of its boxes are degenerate (zero area or volume)."""
     values = np.empty((2, len(pair_rows)))
     for start in range(0, len(pair_rows), _CLIP_CHUNK):
         chunk = slice(start, start + _CLIP_CHUNK)
@@ -255,22 +256,21 @@ def _pair_columns(a: Box3D, b: Box3D) -> list[tuple[np.ndarray, ...]]:
     return [_box_columns(stack, lambda _: name) for stack, name in zip(stacks, ("box a", "box b"))]
 
 
-def _one_pair(a: Box3D, b: Box3D, metric: str) -> float:
-    k = _METRICS[metric]
-    value = float(_pair_overlaps(*_pair_columns(a, b), [0], [0])[k, 0])
+def _one_pair(a: Box3D, b: Box3D, plane: int) -> float:
+    value = float(_pair_overlaps(*_pair_columns(a, b), [0], [0])[plane, 0])
     if math.isnan(value):
-        raise ValueError(_DEGENERATE[k])
+        raise ValueError(_PLANES[plane][2])
     return value
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Bird's-eye-view overlap of the two rotated footprints."""
-    return _one_pair(a, b, "bev")
+    return _one_pair(a, b, 1)
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume overlap: footprint intersection times vertical overlap."""
-    return _one_pair(a, b, "3d")
+    return _one_pair(a, b, 0)
 
 
 # Rows of uniform draws the Monte-Carlo sampler maps and tests at a time.
@@ -304,7 +304,7 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, n_samples: int = 1_000_000,
     vol_a = ha * wa * la
     vol_b = hb * wb * lb
     if vol_a <= 0 and vol_b <= 0:
-        raise ValueError(_DEGENERATE[0])
+        raise ValueError(_PLANES[0][2])
     rot_b = yaw_matrix(b.yaw)
     # Row-vector map p_b = p_a @ m + offset. Both rotations are about y,
     # so m's y row and column are exactly (0, 1, 0) and b_y = l_y + offset_y.
@@ -564,14 +564,6 @@ def evaluate_frames(gts_by_frame: dict[str, LabelTable],
     strays = sorted(preds_by_frame.keys() - gts_by_frame.keys())
     if strays:
         raise ValueError(f"frame {strays[0]!r} has predictions but no ground truth")
-    report: dict = {
-        "class": class_name,
-        "frames": len(frames),
-        "n_gt": {},
-        "ap_3d": {},
-        "ap_bev": {},
-        "pr_curves": {},
-    }
 
     def class_rows(tables_by_frame: dict[str, LabelTable]):
         """The side's tables end to end; its class rows, their frames and positions."""
@@ -618,40 +610,41 @@ def evaluate_frames(gts_by_frame: dict[str, LabelTable],
     if len(degenerate):
         d = degenerate[0]
         raise ValueError(f"frame {frames[frame[d]]!r}, prediction {pred_positions[visit[row[d]]]} "
-                         f"and ground truth {gt_positions[gt[d]]}: {_DEGENERATE[0]}")
+                         f"and ground truth {gt_positions[gt[d]]}: {_PLANES[0][2]}")
 
     difficulties = [Difficulty.EASY, Difficulty.MODERATE, Difficulty.HARD]
     n_gts = {d: int((tiers <= d).sum()) for d in difficulties}
-    passes = [(int(d), _METRICS[metric], thr) for d in difficulties if n_gts[d]
-              for metric in _METRICS for thr in thresholds]
+    passes = [(d, plane, thr) for d in difficulties if n_gts[d]
+              for plane in range(len(_PLANES)) for thr in thresholds]
     matched, ignored = _match_passes(values, row, rank, gt, tiers, len(preds), passes)
 
+    # A tier without ground truth runs no pass: its entries stay None.
+    report: dict = {
+        "class": class_name,
+        "frames": len(frames),
+        "n_gt": {d.name.lower(): n_gts[d] for d in difficulties},
+        **{key: {d.name.lower(): dict.fromkeys(f"{thr:g}" for thr in thresholds)
+                 for d in difficulties} for _, key, _ in _PLANES},
+        "pr_curves": {},
+    }
     # One sort scores every pass: entries are frame by frame in visit
     # order, so a stable sort by descending score orders them by (score,
     # frame, index) as well.
     by_score = np.argsort(-preds[visit, SCORE], kind="stable")
     is_tp = (matched >= 0)[:, by_score]
     scored = ~ignored[:, by_score]
-    curves = iter(_curve(is_tp[p][scored[p]], n_gts[d], grid)
-                  for p, (d, _, _) in enumerate(passes))
-    for difficulty in difficulties:
-        name = difficulty.name.lower()
-        report["n_gt"][name] = n_gts[difficulty]
-        for metric, key in (("3d", "ap_3d"), ("bev", "ap_bev")):
-            report[key][name] = {}
-            for thr in thresholds:
-                if not n_gts[difficulty]:
-                    report[key][name][f"{thr:g}"] = None
-                    continue
-                curve = next(curves)
-                report[key][name][f"{thr:g}"] = curve.ap
-                report["pr_curves"][f"{metric}_{name}_{thr:g}"] = curve.points
+    for p, (d, plane, thr) in enumerate(passes):
+        metric, key, _ = _PLANES[plane]
+        tier = d.name.lower()
+        curve = _curve(is_tp[p][scored[p]], n_gts[d], grid)
+        report[key][tier][f"{thr:g}"] = curve.ap
+        report["pr_curves"][f"{metric}_{tier}_{thr:g}"] = curve.points
 
     loc_threshold = min(thresholds)
     report["localization"] = None
     if not n_gts[Difficulty.HARD]:
         return report
-    loc = matched[passes.index((int(Difficulty.HARD), _METRICS["3d"], loc_threshold))]
+    loc = matched[passes.index((Difficulty.HARD, 0, loc_threshold))]
     rows = np.flatnonzero(loc >= 0)
     if not len(rows):
         return report

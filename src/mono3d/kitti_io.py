@@ -7,6 +7,7 @@ projection ``P2`` is consumed. A calibration file must hold exactly one
 ``P2:`` line of exactly 12 finite numbers (a 3x4 matrix, row-major) with a
 positive focal length and a depth row: the third row's first three values
 may not all be zero. Split files list one frame id per line, each id once.
+Label lines and P2 lines are ASCII, and their numbers hold no ``_``.
 
 Parsing is strict and total: every line either yields a table row of
 finite values, an integral occlusion code, non-negative dimensions, a 2D
@@ -161,6 +162,11 @@ def parse_label_file(text: str) -> LabelTable:
 
     for line_number, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
+        # float() also reads "1_0", "٣٠" and "１０": a KITTI line is ASCII,
+        # and only its class name (as in "Person_sitting") may hold "_".
+        if not line.isascii():
+            raise error(f"character {next(c for c in line if not c.isascii())!r} is not ASCII",
+                        next((i for i, tok in enumerate(tokens) if not tok.isascii()), None))
         if not tokens:
             continue
         if len(tokens) not in (GT_FIELD_COUNT, PRED_FIELD_COUNT):
@@ -168,8 +174,11 @@ def parse_label_file(text: str) -> LabelTable:
                         f"got {len(tokens)}")
         # Field i (the class name is field 0) is column i - 1.
         values = []
+        underscored = "_" in line
         for i, tok in enumerate(tokens[1:], start=1):
             try:
+                if underscored and "_" in tok:
+                    raise ValueError
                 value = float(tok)
             except ValueError:
                 raise error(f"field {tok!r} is not a number", i) from None
@@ -200,14 +209,18 @@ def parse_label_file(text: str) -> LabelTable:
 
 def parse_calib_file(text: str) -> CameraCalibration:
     """Extract the P2 projection from a KITTI calibration file."""
-    p2_lines = [line.split()[1:] for line in text.splitlines() if line.startswith("P2:")]
+    p2_lines = [line for line in text.splitlines() if line.startswith("P2:")]
     if not p2_lines:
         raise CalibFormatError("no P2 line found")
     if len(p2_lines) > 1:
         raise CalibFormatError(f"P2 must be given once, got {len(p2_lines)} P2 lines")
-    (tokens,) = p2_lines
+    (line,) = p2_lines
+    tokens = line.split()[1:]
     if len(tokens) != 12:
         raise CalibFormatError(f"P2 needs 12 values, got {len(tokens)}")
+    # float() also reads "1_0", "٣٠" and "１０": KITTI writes plain ASCII.
+    if not line.isascii() or "_" in line:
+        raise CalibFormatError(f"P2 values must be plain ASCII numbers, got {line[3:].strip()!r}")
     try:
         values = [float(t) for t in tokens]
     except ValueError as exc:

@@ -108,13 +108,8 @@ class TrainReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "epochs_to_tolerance": self.epochs_to_tolerance,
-            "final_l1": self.final_l1,
-            "neighbor_order_violations": self.neighbor_order_violations,
-            "loss_curve": self.loss_curve,
-            "config": self.config,
-        }
+        # Shallow, unlike dataclasses.asdict, which deep-copies the loss curve.
+        return dict(vars(self))
 
 
 def generate_scene(n_objects: int, feature_dim: int = 24, noise_sigma: float = 0.1,

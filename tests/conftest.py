@@ -22,10 +22,12 @@ CALIB_TEXT = (
 
 def reference_parse_fields(tokens: list[str], line_number: int) -> ObjectAnnotation:
     """Oracle for the table parser's per-line rules: the record parser it
-    replaced, field by field over Python floats."""
+    replaced, field by field over Python floats, with no ``_`` in a number."""
     values = []
     for i, tok in enumerate(tokens[1:], start=1):
         try:
+            if "_" in tok:
+                raise ValueError(tok)
             value = float(tok)
         except ValueError:
             raise LabelFormatError(f"field {tok!r} is not a number",
@@ -65,7 +67,15 @@ def reference_parse_fields(tokens: list[str], line_number: int) -> ObjectAnnotat
     )
 
 
+def non_ascii(text: str) -> list[str]:
+    return [c for c in text if ord(c) > 127]
+
+
 def reference_parse_label_line(line: str, line_number: int = 1) -> ObjectAnnotation:
+    if non_ascii(line):
+        fields = [i for i, tok in enumerate(line.split()) if non_ascii(tok)]
+        raise LabelFormatError(f"character {non_ascii(line)[0]!r} is not ASCII",
+                               line_number=line_number, field_index=(fields or [None])[0])
     tokens = line.split()
     if len(tokens) not in (GT_FIELD_COUNT, PRED_FIELD_COUNT):
         raise LabelFormatError(
@@ -75,9 +85,11 @@ def reference_parse_label_line(line: str, line_number: int = 1) -> ObjectAnnotat
 
 
 def reference_parse_label_file(text: str) -> list[ObjectAnnotation]:
-    """Oracle for ``parse_label_file``: one record per non-blank line."""
+    """Oracle for ``parse_label_file``: one record per non-blank line; a
+    line of non-ASCII whitespace is not blank."""
     return [reference_parse_label_line(line, line_number)
-            for line_number, line in enumerate(text.splitlines(), start=1) if line.strip()]
+            for line_number, line in enumerate(text.splitlines(), start=1)
+            if line.strip() or non_ascii(line)]
 
 
 def reference_assign_difficulty(a: ObjectAnnotation) -> Difficulty:

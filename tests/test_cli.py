@@ -32,6 +32,26 @@ def _append(path, text):
     path.write_text(path.read_text() + text)
 
 
+def _prepend_bom(path):
+    path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+
+
+def _set_field(path, prefix, index, value):
+    """Replace field ``index`` of the first line of ``path`` starting with ``prefix``."""
+    lines = path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+    tokens = lines[k].split()
+    tokens[index] = value
+    lines[k] = " ".join(tokens)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+# Number forms float() reads but no KITTI file holds: each breaks a label
+# line's z and, as P2's focal length, a calibration file.
+NON_KITTI_NUMBERS = {"underscore": "1_0", "arabic-indic": "\u0663\u0660",
+                     "full-width": "\uff11\uff10", "bom": "\ufeff10"}
+
+
 # Each breaks one file of the fixture corpus; validate and eval must name
 # the same first error.
 BROKEN_INPUTS = {
@@ -45,6 +65,11 @@ BROKEN_INPUTS = {
     "zero-depth-row": lambda c: (c["calib"] / "000001.txt").write_text(
         "P2: 700 0 600 0 0 700 170 0 0 0 0 0\n"),
     "non-utf8-label": lambda c: (c["gt"] / "000002.txt").write_bytes(b"\xff\xfe"),
+    "bom-label-file": lambda c: _prepend_bom(c["gt"] / "000001.txt"),
+    **{f"{name}-label": lambda c, v=value: _set_field(c["gt"] / "000001.txt", "Car", 13, v)
+       for name, value in NON_KITTI_NUMBERS.items()},
+    **{f"{name}-p2": lambda c, v=value: _set_field(c["calib"] / "000002.txt", "P2:", 1, v)
+       for name, value in NON_KITTI_NUMBERS.items()},
 }
 
 
@@ -109,6 +134,18 @@ class TestValidate:
         assert error["message"] == ("P2 values must be finite, got "
                                     "721.5 0 inf 0 0 721.5 172.8 0 0 0 1 0")
         assert "calib/000001.txt: P2 values must be finite" in capsys.readouterr().out
+
+    def test_byte_order_mark_is_listed(self, corpus, tmp_path):
+        # Read as part of the first class name, a BOM would count a
+        # "\ufeffCar" and drop that Car from evaluation.
+        _prepend_bom(corpus["gt"] / "000000.txt")
+        out = tmp_path / "validate.json"
+        code = run(["validate", "--gt-dir", corpus["gt"], "--calib-dir",
+                    corpus["calib"], "--split", corpus["split"], "--out", out])
+        assert code == 1
+        (error,) = json.loads(out.read_text())["errors"]
+        assert (error["file"], error["line"]) == ("000000.txt", 1)
+        assert error["message"] == "character '\\ufeff' is not ASCII (field 0)"
 
     def test_non_utf8_label_file_is_listed(self, corpus, tmp_path):
         (corpus["gt"] / "000000.txt").write_bytes(b"\xff\xfe")

@@ -919,6 +919,12 @@ def reference_frame_scores(preds, frame, positions):
     return scores, sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
+# The oracle's own plane layout: each metric's plane in the overlap
+# matrices and its error for a pair degenerate in both boxes.
+ORACLE_PLANES = {"3d": (0, "both boxes are degenerate"),
+                 "bev": (1, "both footprints are degenerate")}
+
+
 def reference_greedy_match(overlaps, scores, pred_order, gt_cols, ignored_cols,
                            iou_threshold, metric, frame, positions):
     """Oracle for the matching kernel: the scalar greedy match of one frame
@@ -926,13 +932,12 @@ def reference_greedy_match(overlaps, scores, pred_order, gt_cols, ignored_cols,
     ``pred_order``. Ground-truth indices in the result are positions in
     ``gt_cols``. Reading a NaN pair raises, naming the frame and the
     pair's ``positions`` (row's, column's) among the frame's objects."""
-    k = evaluation._METRICS[metric]
+    k, message = ORACLE_PLANES[metric]
     rows = overlaps[k].tolist()
 
     def degenerate(i, col):
         return ValueError(f"frame {frame!r}, prediction {positions[0][i]} and "
-                          f"ground truth {positions[1][col]}: "
-                          f"{evaluation._DEGENERATE[k]}")
+                          f"ground truth {positions[1][col]}: {message}")
 
     gt_taken = [False] * len(gt_cols)
     pairs, unmatched_preds, ignored_preds = [], [], []
@@ -1025,7 +1030,7 @@ def oracle_evaluate(gts_by_frame, preds_by_frame, thresholds, ap_mode="11", over
                 matches = [reference_greedy_match(overlaps[f], *scores[f], filtered[f],
                                                   ignored[f], thr, metric, f, positions[f])
                            for f in frames]
-                passes.append(((int(difficulty), evaluation._METRICS[metric], thr),
+                passes.append(((int(difficulty), ORACLE_PLANES[metric][0], thr),
                                {f: (m, scores[f][1], filtered[f])
                                 for f, m in zip(frames, matches)}))
                 if difficulty == Difficulty.HARD and metric == "3d" and thr == min(thresholds):

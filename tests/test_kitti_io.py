@@ -72,6 +72,38 @@ class TestParseLabelFile:
         assert exc.value.line_number == 2
         assert exc.value.field_index == field_index
 
+    # float() reads each as 10 or 30; no KITTI file holds them.
+    @pytest.mark.parametrize("value,message", [
+        ("1_0", "field '1_0' is not a number"),
+        ("\u0663\u0660", "character '\u0663' is not ASCII"),
+        ("\uff11\uff10", "character '\uff11' is not ASCII"),
+    ], ids=["underscore", "arabic-indic", "full-width"])
+    def test_non_kitti_number_located(self, value, message):
+        tokens = FIXTURE_LINE.split()
+        tokens[13] = value
+        with pytest.raises(LabelFormatError) as exc:
+            parse_label_file(FIXTURE_LINE + "\n" + " ".join(tokens) + "\n")
+        assert str(exc.value) == f"{message} (field 13)"
+        assert (exc.value.line_number, exc.value.field_index) == (2, 13)
+
+    def test_byte_order_mark_located(self):
+        # Not read as part of the first class name: "\ufeffCar" is no Car.
+        with pytest.raises(LabelFormatError) as exc:
+            parse_label_file("\ufeff" + FIXTURE_LINE + "\n")
+        assert str(exc.value) == "character '\\ufeff' is not ASCII (field 0)"
+        assert (exc.value.line_number, exc.value.field_index) == (1, 0)
+
+    @pytest.mark.parametrize("text", ["\u00a0\n", FIXTURE_LINE.replace(" ", "\u3000", 1)],
+                             ids=["blank-line", "separator"])
+    def test_non_ascii_whitespace_located(self, text):
+        with pytest.raises(LabelFormatError, match="is not ASCII$") as exc:
+            parse_label_file(FIXTURE_LINE + "\n" + text)
+        assert (exc.value.line_number, exc.value.field_index) == (2, None)
+
+    def test_underscore_in_class_name_accepted(self):
+        table = parse_label_file(FIXTURE_LINE.replace("Car", "Person_sitting"))
+        assert table.class_names == ["Person_sitting"]
+
     @pytest.mark.parametrize("value", ["1.7", "0.5", "-0.1"])
     def test_fractional_occlusion_located(self, value):
         tokens = FIXTURE_LINE.split()
@@ -187,6 +219,18 @@ class TestParseCalibFile:
         with pytest.raises(CalibFormatError, match="P2 values must be finite") as err:
             parse_calib_file("P2: " + " ".join(values) + "\n")
         assert " ".join(values) in str(err.value)
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663\u0660", "\uff11\uff10", "\ufeff700"],
+                             ids=["underscore", "arabic-indic", "full-width", "bom"])
+    def test_non_kitti_number_rejected(self, value):
+        text = f"P2: {value} 0 600 0 0 700 170 0 0 0 1 0"
+        with pytest.raises(CalibFormatError) as err:
+            parse_calib_file(text + "\n")
+        assert str(err.value) == f"P2 values must be plain ASCII numbers, got {text[4:]!r}"
+
+    def test_byte_order_mark_before_p2_rejected(self):
+        with pytest.raises(CalibFormatError, match="no P2 line found"):
+            parse_calib_file("\ufeffP2: 700 0 600 0 0 700 170 0 0 0 1 0\n")
 
     @pytest.mark.parametrize("text,message", [
         ("P2: 700 0 600 0 0 700 170 0 0 0 1 0 99 abc\n", "P2 needs 12 values, got 14"),
@@ -351,7 +395,8 @@ BASE_LINES = [FIXTURE_LINE, FIXTURE_LINE + " 0.97",
               FIXTURE_LINE.replace("Car 0.00", "Car -1") + " 0.9",
               "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10"]
 MUTATIONS = [*FUZZ_TOKENS, "+nan", "Infinity", "-Infinity", "1e-400", "-1", "0", "2", "3",
-             "1.7", "0.5", "-1.5", "1_000", "\u0663", "DontCare"]
+             "1.7", "0.5", "-1.5", "1_000", "\u0663", "\uff11\uff10", "\ufeffCar",
+             "1\u00a00", "\u3000", "Person_sitting", "DontCare"]
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import hashlib
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -53,6 +54,18 @@ GOLDEN_EVAL_WIDE = {
            "f3b3e62ae5dac45220ddf6d14a5b3b13bfb0b82e00960689ce1ce2498e147f6f"),
 }
 
+# The same digests at the default thresholds with every ground truth's
+# occlusion rewritten to 2, so the easy and moderate tiers are empty and
+# their AP entries are null; the bytes pin where those entries sit.
+GOLDEN_EVAL_HARD_ONLY = {
+    "11": ("08539ca2fb4d29373af3bed117ecd759ef54f3eb6dfe36050c198d9dc72e802f",
+           "b60c2702d9ab119f3309b0f8c3a32f769e06317184d4d8229b5a7ba66b442f07",
+           "8ee511e1700d7312a0a1137c090ffbaba38334749e803e4238c35b54ba79408e"),
+    "40": ("369be4d0b154200bd16bb4c4595634210e461cfb9654edfd762673370e72d76f",
+           "b60c2702d9ab119f3309b0f8c3a32f769e06317184d4d8229b5a7ba66b442f07",
+           "8ee511e1700d7312a0a1137c090ffbaba38334749e803e4238c35b54ba79408e"),
+}
+
 
 # sha256 of the other commands' JSON, taken from the writer that rounded a
 # copy of the payload and ran json's indent=2 encoder over it. The
@@ -82,6 +95,16 @@ def corpus_60(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def corpus_60_hard_only(corpus_60, tmp_path_factory):
+    root = tmp_path_factory.mktemp("hard_only") / "corpus"
+    shutil.copytree(corpus_60, root)
+    for path in (root / "label_2").iterdir():
+        lines = [line.split(" ") for line in path.read_text().splitlines()]
+        path.write_text("".join(" ".join([*f[:2], "2", *f[3:]]) + "\n" for f in lines))
+    return root
+
+
 def eval_digests(corpus, tmp_path, *flags):
     out = tmp_path / "report.json"
     assert main(["eval", "--gt-dir", str(corpus / "label_2"),
@@ -102,6 +125,13 @@ def test_eval_outputs_match_golden_digests(corpus_60, tmp_path, ap_mode):
 def test_eval_outputs_at_four_thresholds_match_golden_digests(corpus_60, tmp_path, ap_mode):
     assert eval_digests(corpus_60, tmp_path, "--ap-mode", ap_mode,
                         "--thresholds", *WIDE_THRESHOLDS) == GOLDEN_EVAL_WIDE[ap_mode]
+
+
+@pytest.mark.parametrize("ap_mode", ["11", "40"])
+def test_eval_outputs_with_empty_tiers_match_golden_digests(corpus_60_hard_only, tmp_path,
+                                                            ap_mode):
+    assert eval_digests(corpus_60_hard_only, tmp_path,
+                        "--ap-mode", ap_mode) == GOLDEN_EVAL_HARD_ONLY[ap_mode]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_JSON))

@@ -160,7 +160,9 @@ def parse_label_file(text: str) -> LabelTable:
     def error(message: str, field: int | None = None) -> LabelFormatError:
         return LabelFormatError(message, line_number, field)
 
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    # KITTI lines end at "\n"; str.splitlines would also end one at "\x85",
+    # "\u2028" and other separators, shifting every later line number.
+    for line_number, line in enumerate(text.split("\n"), start=1):
         tokens = line.split()
         # float() also reads "1_0", "٣٠" and "１０": a KITTI line is ASCII,
         # and only its class name (as in "Person_sitting") may hold "_".
@@ -209,7 +211,7 @@ def parse_label_file(text: str) -> LabelTable:
 
 def parse_calib_file(text: str) -> CameraCalibration:
     """Extract the P2 projection from a KITTI calibration file."""
-    p2_lines = [line for line in text.splitlines() if line.startswith("P2:")]
+    p2_lines = [line for line in text.split("\n") if line.startswith("P2:")]
     if not p2_lines:
         raise CalibFormatError("no P2 line found")
     if len(p2_lines) > 1:
@@ -277,13 +279,17 @@ def assign_difficulty(table: LabelTable) -> np.ndarray:
 def read_split_file(text: str) -> list[str]:
     """Frame ids, one per line, blank lines skipped. An id that would leave
     its directory (``.``, ``..``, or any holding a path separator) raises,
-    as does a repeated id, naming its lines (counted from 1)."""
+    as do an id holding whitespace and a repeated id, naming its lines
+    (counted from 1)."""
     first_line: dict[str, int] = {}
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(text.split("\n"), start=1):
         frame = line.strip()
         if frame in (".", "..") or "/" in frame or os.sep in frame:
             raise ValueError(f"split line {line_number}: frame {frame!r} must name a file "
                              "in its directory: no path separator, '.' or '..'")
+        if len(frame.split()) > 1:
+            raise ValueError(f"split line {line_number}: frame {frame!r} holds whitespace; "
+                             "list one frame id per line")
         if frame in first_line:
             raise ValueError(f"split line {line_number}: frame {frame!r} is already "
                              f"listed on line {first_line[frame]}")

@@ -226,11 +226,13 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     epoch's is, and each run's first state under tolerance and final L1
     are read from the kept data terms. Heads, loss curves and reports
     are therefore bitwise those of training the runs one after another,
-    in the order given. That order also settles divergence: when run k is
-    the earliest to diverge in an epoch, runs 0..k-1 are retrained as a
-    stack of their own, and :class:`TrainingDiverged` names run k if they
-    all finish. Otherwise the retrain raises for the earliest of them
-    that diverges.
+    in the order given. That order also settles divergence: each slot
+    keeps the first epoch whose state fails the test, and after the loop
+    :class:`TrainingDiverged` names the earliest run in the given order
+    that failed, as training them one by one would. A run's slices never
+    mix with another's, so the others train on. Once run 0 has failed no
+    run can fail before it, and the loop stops: a failing call costs at
+    most one stacked training.
     """
     if not runs:
         return []
@@ -272,6 +274,8 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     # the last update goes through the divergence test as every epoch's.
     data = np.empty((len(rank), epochs + 1))
     curves = np.empty((len(rank), epochs + 1))
+    # each slot's first epoch whose state fails the divergence test, -1 while none has
+    diverged = np.full(len(rank), -1)
     step = lr
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs + 1):
@@ -286,12 +290,10 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
                 objective[:n_reg] += reg
             bad = ~np.isfinite(objective) | (objective > DIVERGENCE_LIMIT)
             if bad.any():
-                # Run by run, the runs before the earliest bad one would have
-                # trained first; retraining them alone repeats them bit for bit,
-                # so any of them that diverges later raises from in there.
-                first = int(rank[bad].min())
-                _train_runs(runs[:first], cfg, lr, epochs)
-                raise TrainingDiverged(epoch - 1, runs[first].context)
+                diverged[bad & (diverged < 0)] = epoch
+                # once run 0 has failed, no run can fail before it
+                if diverged[rank.argmin()] >= 0:
+                    break
             curves[:, epoch] = objective
             if epoch == epochs:
                 break
@@ -310,6 +312,11 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
             w += vel_w
             b += vel_b
             step *= LR_DECAY
+
+    failed = np.flatnonzero(diverged >= 0)
+    if failed.size:
+        slot = failed[rank[failed].argmin()]
+        raise TrainingDiverged(int(diverged[slot]) - 1, runs[rank[slot]].context)
 
     # each run's first state under tolerance (the final one is state
     # `epochs`), -1 if none is
@@ -358,10 +365,10 @@ def run_paired_experiment(seeds: Sequence[int], cfg: LossConfig,
 
     All (seed, arm) runs train together in one stacked loop, with the
     results and the divergence error of training them one by one in
-    (seed, arm) order; a divergence costs a retrain of the runs before
-    it. Returns both arms' reports plus aggregate violation counts and
-    the epochs-to-tolerance ratio (runs that never reach tolerance count
-    as the full epoch budget).
+    (seed, arm) order; a divergence costs at most that one loop. Returns
+    both arms' reports plus aggregate violation counts and the
+    epochs-to-tolerance ratio (runs that never reach tolerance count as
+    the full epoch budget).
     """
     runs = []
     for seed in seeds:

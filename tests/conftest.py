@@ -85,10 +85,10 @@ def reference_parse_label_line(line: str, line_number: int = 1) -> ObjectAnnotat
 
 
 def reference_parse_label_file(text: str) -> list[ObjectAnnotation]:
-    """Oracle for ``parse_label_file``: one record per non-blank line; a
-    line of non-ASCII whitespace is not blank."""
+    """Oracle for ``parse_label_file``: one record per non-blank line, lines
+    ending at ``\n`` only; a line of non-ASCII whitespace is not blank."""
     return [reference_parse_label_line(line, line_number)
-            for line_number, line in enumerate(text.splitlines(), start=1)
+            for line_number, line in enumerate(text.split("\n"), start=1)
             if line.strip() or non_ascii(line)]
 
 

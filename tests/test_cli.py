@@ -36,6 +36,11 @@ def _prepend_bom(path):
     path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
 
 
+def _join_first_two_lines(path, separator):
+    """Put ``separator`` in place of the first ``\n`` of ``path``."""
+    path.write_text(path.read_text().replace("\n", separator, 1), encoding="utf-8")
+
+
 def _set_field(path, prefix, index, value):
     """Replace field ``index`` of the first line of ``path`` starting with ``prefix``."""
     lines = path.read_text().splitlines()
@@ -50,6 +55,11 @@ def _set_field(path, prefix, index, value):
 # line's z and, as P2's focal length, a calibration file.
 NON_KITTI_NUMBERS = {"underscore": "1_0", "arabic-indic": "\u0663\u0660",
                      "full-width": "\uff11\uff10", "bom": "\ufeff10"}
+
+
+# Characters str.splitlines ends a line at and a KITTI file does not: each
+# joins a label file's first two lines, or P0 and P2 of a calibration file.
+NOT_NEWLINES = {"nel": "\x85", "line-separator": "\u2028", "form-feed": "\x0c"}
 
 
 # Each breaks one file of the fixture corpus; validate and eval must name
@@ -70,6 +80,10 @@ BROKEN_INPUTS = {
        for name, value in NON_KITTI_NUMBERS.items()},
     **{f"{name}-p2": lambda c, v=value: _set_field(c["calib"] / "000002.txt", "P2:", 1, v)
        for name, value in NON_KITTI_NUMBERS.items()},
+    **{f"{name}-label": lambda c, s=sep: _join_first_two_lines(c["gt"] / "000001.txt", s)
+       for name, sep in NOT_NEWLINES.items()},
+    **{f"{name}-calib": lambda c, s=sep: _join_first_two_lines(c["calib"] / "000002.txt", s)
+       for name, sep in NOT_NEWLINES.items()},
 }
 
 
@@ -303,6 +317,20 @@ class TestEval:
         assert capsys.readouterr().err == ("mono3d: split line 2: frame '../label_2/000001' "
                                            "must name a file in its directory: no path "
                                            "separator, '.' or '..'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    def test_split_id_holding_whitespace_is_input_error(self, corpus, tmp_path, capsys,
+                                                        command):
+        # str.splitlines would read two ids, 000000 and 000001, from line 1.
+        corpus["split"].write_text("000000\x85000001\n000002\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        args = self.eval_args(corpus, out) if command == "eval" else [
+            "validate", "--gt-dir", corpus["gt"], "--calib-dir", corpus["calib"],
+            "--split", corpus["split"], "--out", out]
+        assert run(args) == 1
+        assert capsys.readouterr().err == ("mono3d: split line 1: frame '000000\\x85000001' "
+                                           "holds whitespace; list one frame id per line\n")
         assert not out.exists()
 
     def test_overflowing_box_is_located(self, corpus, tmp_path, capsys):

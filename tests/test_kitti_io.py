@@ -17,6 +17,11 @@ from mono3d.kitti_io import (ALPHA, BOTTOM, DIMS, LEFT, LOCATION, OCCLUSION, ROT
 FIXTURE_LINE = ("Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 "
                 "1.65 1.67 3.64 -0.65 1.71 46.70 -1.59")
 
+# Characters str.splitlines ends a line at besides "\n" and "\r": a KITTI
+# file ends a line at "\n" only.
+OTHER_LINE_BREAKS = {"vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
+                     "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+
 
 class TestParseLabelFile:
     def test_fixture_line_fields(self):
@@ -99,6 +104,21 @@ class TestParseLabelFile:
         with pytest.raises(LabelFormatError, match="is not ASCII$") as exc:
             parse_label_file(FIXTURE_LINE + "\n" + text)
         assert (exc.value.line_number, exc.value.field_index) == (2, None)
+
+    @pytest.mark.parametrize("separator", OTHER_LINE_BREAKS.values(), ids=OTHER_LINE_BREAKS)
+    def test_line_ends_only_at_newline(self, separator):
+        text = FIXTURE_LINE + separator + FIXTURE_LINE + "\n" + FIXTURE_LINE
+        message = ("expected 15 or 16 fields, got 30" if separator.isascii()
+                   else f"character {separator!r} is not ASCII")
+        with pytest.raises(LabelFormatError) as exc:
+            parse_label_file(text)
+        assert (str(exc.value), exc.value.line_number, exc.value.field_index) == (
+            message, 1, None)
+        assert_parsers_agree(text)
+
+    def test_carriage_return_before_newline_is_whitespace(self):
+        table = parse_label_file(FIXTURE_LINE + "\r\n" + FIXTURE_LINE + "\r\n")
+        assert table.line_numbers == [1, 2]
 
     def test_underscore_in_class_name_accepted(self):
         table = parse_label_file(FIXTURE_LINE.replace("Car", "Person_sitting"))
@@ -231,6 +251,12 @@ class TestParseCalibFile:
     def test_byte_order_mark_before_p2_rejected(self):
         with pytest.raises(CalibFormatError, match="no P2 line found"):
             parse_calib_file("\ufeffP2: 700 0 600 0 0 700 170 0 0 0 1 0\n")
+
+    @pytest.mark.parametrize("separator", OTHER_LINE_BREAKS.values(), ids=OTHER_LINE_BREAKS)
+    def test_p2_after_a_line_break_other_than_newline_rejected(self, separator):
+        text = "P0: 1 0 0 0 0 1 0 0 0 0 1 0" + separator + "P2: 700 0 600 0 0 700 170 0 0 0 1 0\n"
+        with pytest.raises(CalibFormatError, match="^no P2 line found$"):
+            parse_calib_file(text)
 
     @pytest.mark.parametrize("text,message", [
         ("P2: 700 0 600 0 0 700 170 0 0 0 1 0 99 abc\n", "P2 needs 12 values, got 14"),
@@ -439,7 +465,7 @@ def assert_parsers_agree(text):
         return
     expected = LabelTable.of(annotations)
     assert table.class_names == expected.class_names
-    assert table.line_numbers == [n for n, line in enumerate(text.splitlines(), start=1)
+    assert table.line_numbers == [n for n, line in enumerate(text.split("\n"), start=1)
                                   if line.strip()]
     # A record keeps occlusion as an int, so a "-0" is 0 there and -0.0 in
     # the table: that column compares by value.
@@ -486,6 +512,14 @@ class TestSplits:
         with pytest.raises(ValueError, match=rf"^split line 2: frame {re.escape(repr(frame))} "
                                              r"must name a file in its directory"):
             read_split_file(f"000000\n {frame} \n000002\n")
+
+    @pytest.mark.parametrize("separator", [" ", "\t", *OTHER_LINE_BREAKS.values()],
+                             ids=["space", "tab", *OTHER_LINE_BREAKS])
+    def test_frame_id_holding_whitespace_is_located(self, separator):
+        frame = f"000001{separator}000002"
+        with pytest.raises(ValueError, match=rf"^split line 2: frame {re.escape(repr(frame))} "
+                                             r"holds whitespace; list one frame id per line$"):
+            read_split_file(f"000000\n{frame}\n000003\n")
 
     def test_frame_id_padding(self):
         assert frame_id(7) == "000007"

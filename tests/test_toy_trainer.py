@@ -417,23 +417,52 @@ class TestStackedTraining:
             assert head.w.tobytes() == ref_head.w.tobytes()
             assert head.b.tobytes() == ref_head.b.tobytes()
 
-    @pytest.mark.parametrize("seeds", [[1, 2, 3], [4, 6], [6, 4], [3, 7, 2], [11, 4, 6]])
-    def test_divergence_matches_reference(self, seeds):
+    @pytest.mark.parametrize("seeds,arms", [
+        pytest.param(seeds, arms, id=f"seeds{i}{suffix}")
+        for arms, suffix in (((True, False), ""), ((False, True), "-unregularized-first"))
+        for i, seeds in enumerate([[1, 2, 3], [4, 6], [6, 4], [3, 7, 2], [11, 4, 6]])])
+    def test_divergence_matches_reference(self, seeds, arms):
         # M = 100 at the CLI defaults: the regularised arm diverges on seeds
         # 2 and 7 (last finite epoch 12), 4 (17), 6 (11) and 11 (23); seeds
         # 1 and 3 converge. In [4, 6] the earlier run diverges at the later
         # epoch; in [3, 7, 2] two runs diverge in the same epoch. In
-        # [11, 4, 6] each earlier run diverges later, so the error comes
-        # from the second of two nested prefix retrains.
+        # [11, 4, 6] each earlier run diverges later than the next, so the
+        # error names seed 11 though seeds 4 and 6 diverge first. With the
+        # unregularised arm first, run 0 never diverges and sits in the
+        # slot after the regularised runs.
         cfg = LossConfig()
         with pytest.raises(TrainingDiverged) as expected:
-            reference_paired_runs(seeds, cfg, n_objects=100)
+            reference_paired_runs(seeds, cfg, n_objects=100, arms=arms)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as exc:
-                run_paired_experiment(seeds, cfg, n_objects=100)
+                run_paired_experiment(seeds, cfg, n_objects=100, arms=arms)
         assert exc.value.epoch == expected.value.epoch
         assert str(exc.value) == str(expected.value)
+
+    def test_training_stops_once_run_zero_diverges(self, monkeypatch):
+        # Run 0 (seed 2, regularised) fails at epoch 13: no later run can
+        # be named, so epochs 0-13 are the only ones trained.
+        calls = []
+
+        def counting_quadratic_form(b, m, beta):
+            calls.append(beta)
+            return locality.quadratic_form(b, m, beta)
+
+        monkeypatch.setattr(toy_trainer, "quadratic_form", counting_quadratic_form)
+        with pytest.raises(TrainingDiverged,
+                           match=r"last finite epoch was 12 \(regularized arm, seed 2\)$"):
+            run_paired_experiment([2, 1], LossConfig(), n_objects=100)
+        assert len(calls) == 14
+
+    def test_run_zero_behind_a_run_that_fails_first_is_named(self):
+        # With the unregularised arm first, run 0 sits in the slot after the
+        # regularised run. beta = 1e308 fails that run at epoch 0, lr = 1e308
+        # fails run 0 one epoch later: trained one by one, run 0 fails first.
+        with pytest.raises(TrainingDiverged, match=r"^training diverged; last finite epoch "
+                                                   r"was 0 \(unregularized arm, seed 1\)$"):
+            run_paired_experiment([1], LossConfig(beta=1e308), lr=1e308, epochs=5,
+                                  arms=(False, True))
 
     def test_later_run_diverging_first_does_not_hide_an_earlier_one(self):
         with pytest.raises(TrainingDiverged,

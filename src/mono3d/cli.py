@@ -211,9 +211,12 @@ def cmd_eval(args) -> int:
     }
     write_json(args.out, report)
 
+    # A rerun with every prediction present leaves no stale sidecar behind.
+    sidecar = args.out.with_suffix(args.out.suffix + ".missing.txt")
     if missing:
-        sidecar = args.out.with_suffix(args.out.suffix + ".missing.txt")
         sidecar.write_text("".join(f"{f}\n" for f in missing), encoding="utf-8")
+    else:
+        sidecar.unlink(missing_ok=True)
 
     _write_csv(args.out.with_name(args.out.stem + "_pr.csv"), ["curve", "recall", "precision"],
                [[key, *point] for key in sorted(pr_curves) for point in pr_curves[key].tolist()])

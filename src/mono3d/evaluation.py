@@ -26,8 +26,8 @@ finite footprint area and volume.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,31 +57,6 @@ class MatchResult:
 class PrecisionRecallCurve:
     points: np.ndarray  # (N, 2) float64 (recall, precision) rows, recall ascending
     ap: float
-
-
-@dataclass
-class DepthBinAccuracy:
-    lo: float
-    hi: float
-    count: int
-    ra_u: Optional[float]
-    ra_v: Optional[float]
-    ra_z: Optional[float]
-
-
-@dataclass
-class LocalizationReport:
-    """Relative accuracy of the 3D centre coordinates over matched pairs.
-
-    Each coordinate error is normalised by the ground-truth depth, so
-    ``ra = 1 - mean(|err| / z_gt)`` clamped to [0, 1].
-    """
-
-    count: int
-    ra_u: float
-    ra_v: float
-    ra_z: float
-    depth_bins: list[DepthBinAccuracy] = field(default_factory=list)
 
 
 def polygon_area(vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -503,9 +478,15 @@ def average_precision(all_matches: Iterable[MatchResult], n_gt: int,
     return _curve(is_tp[np.lexsort((index, frame, -score))] > 0, n_gt, grid)
 
 
-def localization_report(pred_centers: np.ndarray,
-                        gt_centers: np.ndarray) -> LocalizationReport:
-    """Relative accuracy of matched 3D centres, overall and per depth bin."""
+def localization_report(pred_centers: np.ndarray, gt_centers: np.ndarray) -> dict:
+    """Relative accuracy of matched 3D centres, overall and per depth bin.
+
+    Each coordinate error is normalised by the ground-truth depth, so
+    ``ra = 1 - mean(|err| / z_gt)`` clamped to [0, 1]. Returns ``count``,
+    ``ra_u``, ``ra_v``, ``ra_z`` and ``depth_bins``, one dict per bin
+    with ``lo``, ``hi``, ``count`` and its three accuracies (None in an
+    empty bin).
+    """
     pred_centers = np.asarray(pred_centers, dtype=float)
     gt_centers = np.asarray(gt_centers, dtype=float)
     if pred_centers.shape != gt_centers.shape or pred_centers.shape[1:] != (3,):
@@ -530,10 +511,11 @@ def localization_report(pred_centers: np.ndarray,
         lo, hi = edges[k], edges[k + 1]
         in_bin = (z_gt >= lo) & ((z_gt < hi) if k < len(edges) - 2 else (z_gt <= hi))
         count = int(in_bin.sum())
-        ra = [accuracy(rel_err[in_bin, c]) if count else None for c in range(3)]
-        bins.append(DepthBinAccuracy(lo, hi, count, *ra))
-    return LocalizationReport(len(pred_centers), *(accuracy(rel_err[:, c]) for c in range(3)),
-                              depth_bins=bins)
+        ra_u, ra_v, ra_z = (accuracy(rel_err[in_bin, c]) if count else None for c in range(3))
+        bins.append({"lo": lo, "hi": hi, "count": count, "ra_u": ra_u, "ra_v": ra_v, "ra_z": ra_z})
+    ra_u, ra_v, ra_z = (accuracy(rel_err[:, c]) for c in range(3))
+    return {"count": len(pred_centers), "ra_u": ra_u, "ra_v": ra_v, "ra_z": ra_z,
+            "depth_bins": bins}
 
 
 def evaluate_frames(gts_by_frame: dict[str, LabelTable],
@@ -654,6 +636,6 @@ def evaluate_frames(gts_by_frame: dict[str, LabelTable],
         g = loc[rows[shallow[0]]]
         raise ValueError(f"frame {frames[gt_frame[g]]!r}, ground truth {gt_positions[g]}: "
                          f"depth {located[shallow[0], 2]:g} is not positive")
-    loc = localization_report(pred_boxes.center[rows], located)
-    report["localization"] = {"iou_threshold": loc_threshold, **asdict(loc)}
+    report["localization"] = {"iou_threshold": loc_threshold,
+                              **localization_report(pred_boxes.center[rows], located)}
     return report

@@ -185,16 +185,6 @@ def neighbor_order_violations(head: LinearHead, scene: SyntheticScene,
     return count
 
 
-@dataclass
-class _Run:
-    """One (scene, arm, seed) training run; ``context`` names it in errors."""
-
-    scene: SyntheticScene
-    use_regularizer: bool
-    seed: int
-    context: str = ""
-
-
 def train(scene: SyntheticScene, cfg: LossConfig, use_regularizer: bool,
           lr: float = 1e-3, epochs: int = 2000, seed: int = 0) -> tuple[LinearHead, TrainReport]:
     """Fit the head by full-batch subgradient descent with momentum.
@@ -204,36 +194,46 @@ def train(scene: SyntheticScene, cfg: LossConfig, use_regularizer: bool,
     The learning rate decays geometrically so the L1 limit cycle
     collapses instead of oscillating forever. Bitwise deterministic for a
     fixed (scene, seed). The report's violation count is taken on the
-    scene's validation view.
+    scene's validation view. This is the one run of :func:`_train_runs`,
+    which also sets the divergence rule.
     """
-    (result,) = _train_runs([_Run(scene, use_regularizer, seed)], cfg, lr=lr, epochs=epochs)
+    (result,) = _train_runs([scene], [seed], (use_regularizer,), cfg, lr=lr, epochs=epochs)
     return result
 
 
-def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
+def _train_runs(scenes: Sequence[SyntheticScene], seeds: Sequence[int], arms: Sequence[bool],
+                cfg: LossConfig, lr: float, epochs: int
                 ) -> list[tuple[LinearHead, TrainReport]]:
-    """Train runs over same-shaped scenes in one stacked epoch loop.
+    """Train every (seed, arm) run in one stacked epoch loop.
 
-    The state of run k is slice k of K x ... arrays, and every product is
-    a batched ``@``. Each slice goes through the float operations of a
-    lone :func:`train` call: one GEMM per slice, with X^T passed as a
-    transposed view as in the 2-D code, and each sum taken over one
-    run's contiguous slice. The residual, |residual|, sign and gradient
-    buffers are allocated once per call, and every epoch writes into
-    them through ``out=`` and in-place operators: the same ufuncs on the
-    same operands in the same order as the expressions they replace. The
-    state the last update leaves is tested for divergence as every
-    epoch's is, and each run's first state under tolerance and final L1
-    are read from the kept data terms. Heads, loss curves and reports
-    are therefore bitwise those of training the runs one after another,
-    in the order given. That order also settles divergence: each slot
-    keeps the first epoch whose state fails the test, and after the loop
-    :class:`TrainingDiverged` names the earliest run in the given order
-    that failed, as training them one by one would. A run's slices never
-    mix with another's, so the others train on. Once run 0 has failed no
-    run can fail before it, and the loop stops: a failing call costs at
-    most one stacked training.
+    Run k is slot k of K x ... state arrays and result k. In (seed, arm)
+    order, it trains on ``scenes[k // len(arms)]`` (all of one shape)
+    from initial-weight seed ``seeds[k // len(arms)]``, with the
+    regulariser if ``arms[k % len(arms)]``. Each arm appears at most
+    once, so the regularised runs are one stride of the stack, read
+    through a basic-slice view. Every product is a batched ``@``: one
+    GEMM per slice, with X^T passed as a transposed view as in the 2-D
+    code, and each sum is taken over one run's contiguous slice. The
+    residual, |residual|, sign and gradient buffers are allocated once
+    per call, and every epoch writes into them through ``out=`` and
+    in-place operators: the same ufuncs on the same operands in the same
+    order as the expressions they replace. Heads, loss curves and reports
+    are therefore bitwise those of training the runs one after another.
+
+    Divergence: every epoch's state, and the state the last update
+    leaves, goes through one test. Each run keeps the first epoch whose
+    state fails it while the others train on, since a run's slices never
+    mix with another's. After the loop :class:`TrainingDiverged` names
+    the lowest-numbered failed run, with its arm and seed, as training
+    the runs one by one would. Once run 0 has failed no run can fail
+    before it, and the loop stops: a failing call costs at most one
+    stacked training. Each run's first state under tolerance and final
+    L1 are read from the kept data terms.
     """
+    if len(set(arms)) < len(arms) or not all(isinstance(a, bool) for a in arms):
+        raise ValueError(f"arms must be distinct True/False values, got {arms!r}")
+    n = len(arms)
+    runs = len(scenes) * n
     if not runs:
         return []
     if not (np.isfinite(lr) and lr > 0):
@@ -241,23 +241,19 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
 
-    # rank[slot] is the index in ``runs`` of the run in that slot of the
-    # stack. Regularised runs take the first slots, so they are a prefix view.
-    rank = np.array(sorted(range(len(runs)), key=lambda k: not runs[k].use_regularizer))
-    scenes = [runs[k].scene for k in rank]
-    n_reg = sum(runs[k].use_regularizer for k in rank)
     # Only the regulariser reads the graph, and only through X P X^T; each
     # graph is dropped as soon as its product is taken. An overflow here or
     # in the loop reaches an objective, which the divergence test rejects.
+    reg = slice(arms.index(True), None, n) if True in arms else None
     with np.errstate(over="ignore", invalid="ignore"):
         xpxt = np.stack([s.features @ build_graph(s.batch(), cfg.lam).p @ s.features.T
-                         for s in scenes[:n_reg]]) if n_reg else None
-    x = np.stack([s.features for s in scenes])
-    gt = np.stack([s.gt for s in scenes])
+                         for s in scenes]) if reg else None
+    x = np.stack([s.features for s in scenes for _ in arms])
+    gt = np.stack([s.gt for s in scenes for _ in arms])
     m = gt.shape[2]
 
-    w = np.stack([0.01 * np.random.default_rng(runs[k].seed).normal(size=(2, x.shape[1]))
-                  for k in rank])
+    w = np.stack([0.01 * np.random.default_rng(seed).normal(size=(2, x.shape[1]))
+                  for seed in seeds for _ in arms])
     # start the output bias at the target mean, as regression heads usually do
     b = gt.mean(axis=2)
     vel_w = np.zeros_like(w)
@@ -272,10 +268,10 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
     xt = x.transpose(0, 2, 1)
     # The data term and the objective, per run and state: the state after
     # the last update goes through the divergence test as every epoch's.
-    data = np.empty((len(rank), epochs + 1))
-    curves = np.empty((len(rank), epochs + 1))
-    # each slot's first epoch whose state fails the divergence test, -1 while none has
-    diverged = np.full(len(rank), -1)
+    data = np.empty((runs, epochs + 1))
+    curves = np.empty((runs, epochs + 1))
+    # each run's first epoch whose state fails the divergence test, -1 while none has
+    diverged = np.full(runs, -1)
     step = lr
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs + 1):
@@ -283,16 +279,16 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
             residual += b[:, :, None]
             residual -= gt
             np.abs(residual, out=abs_residual)
-            objective = abs_residual.reshape(len(rank), -1).sum(axis=1)
+            objective = abs_residual.reshape(runs, -1).sum(axis=1)
             data[:, epoch] = objective
-            if n_reg:
-                reg, reg_grad = quadratic_form(w[:n_reg], xpxt, cfg.beta)
-                objective[:n_reg] += reg
+            if reg:
+                penalty, reg_grad = quadratic_form(w[reg], xpxt, cfg.beta)
+                objective[reg] += penalty
             bad = ~np.isfinite(objective) | (objective > DIVERGENCE_LIMIT)
             if bad.any():
                 diverged[bad & (diverged < 0)] = epoch
                 # once run 0 has failed, no run can fail before it
-                if diverged[rank.argmin()] >= 0:
+                if diverged[0] >= 0:
                     break
             curves[:, epoch] = objective
             if epoch == epochs:
@@ -301,8 +297,8 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
             np.sign(residual, out=sign)
             np.matmul(sign, xt, out=grad_w)
             sign.sum(axis=2, out=grad_b)
-            if n_reg:
-                grad_w[:n_reg] += reg_grad
+            if reg:
+                grad_w[reg] += reg_grad
             vel_w *= MOMENTUM
             grad_w *= step
             vel_w -= grad_w
@@ -315,40 +311,39 @@ def _train_runs(runs: Sequence[_Run], cfg: LossConfig, lr: float, epochs: int
 
     failed = np.flatnonzero(diverged >= 0)
     if failed.size:
-        slot = failed[rank[failed].argmin()]
-        raise TrainingDiverged(int(diverged[slot]) - 1, runs[rank[slot]].context)
+        k = failed[0]
+        raise TrainingDiverged(int(diverged[k]) - 1,
+                               f"{_arm_key(arms[k % n])} arm, seed {seeds[k // n]}")
 
     # each run's first state under tolerance (the final one is state
     # `epochs`), -1 if none is
     hit = data / m < TOLERANCE_L1
     reached = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
-    results: list = [None] * len(runs)
-    for slot, k in enumerate(rank):
-        run = runs[k]
-        scene = run.scene
-        head = LinearHead(w=w[slot].copy(), b=b[slot].copy())
-        epochs_to_tolerance = int(reached[slot]) if reached[slot] >= 0 else None
+    results = []
+    for k in range(runs):
+        scene = scenes[k // n]
+        head = LinearHead(w=w[k].copy(), b=b[k].copy())
         report = TrainReport(
-            epochs_to_tolerance=epochs_to_tolerance,
-            final_l1=float(data[slot, epochs]) / m,
+            epochs_to_tolerance=int(reached[k]) if reached[k] >= 0 else None,
+            final_l1=float(data[k, epochs]) / m,
             neighbor_order_violations=neighbor_order_violations(
                 head, scene.validation_view(), cfg.lam),
-            loss_curve=curves[slot, :epochs].tolist(),
+            loss_curve=curves[k, :epochs].tolist(),
             config={
                 "n_objects": m,
                 "feature_dim": int(x.shape[1]),
                 "noise_sigma": scene.noise_sigma,
                 "scene_seed": scene.seed,
-                "train_seed": run.seed,
-                "use_regularizer": run.use_regularizer,
+                "train_seed": seeds[k // n],
+                "use_regularizer": arms[k % n],
                 "lr": lr,
                 "epochs": epochs,
                 "tolerance": TOLERANCE_L1,
                 "beta": cfg.beta,
                 "lam": cfg.lam,
             })
-        results[k] = (head, report)
+        results.append((head, report))
     return results
 
 
@@ -363,21 +358,15 @@ def run_paired_experiment(seeds: Sequence[int], cfg: LossConfig,
                           arms: Sequence[bool] = (True, False)) -> dict:
     """Train regularised/unregularised arms on identical scenes per seed.
 
-    All (seed, arm) runs train together in one stacked loop, with the
-    results and the divergence error of training them one by one in
-    (seed, arm) order; a divergence costs at most that one loop. Returns
-    both arms' reports plus aggregate violation counts and the
-    epochs-to-tolerance ratio (runs that never reach tolerance count as
-    the full epoch budget).
+    All (seed, arm) runs train together in :func:`_train_runs`, which
+    sets their order and the divergence rule. Returns both arms' reports
+    plus aggregate violation counts and the epochs-to-tolerance ratio
+    (runs that never reach tolerance count as the full epoch budget).
     """
-    runs = []
-    for seed in seeds:
-        scene = generate_scene(n_objects, feature_dim, noise_sigma, seed)
-        runs += [_Run(scene, use_reg, seed, context=f"{_arm_key(use_reg)} arm, seed {seed}")
-                 for use_reg in arms]
+    scenes = [generate_scene(n_objects, feature_dim, noise_sigma, seed) for seed in seeds]
     results: dict = {"regularized": [], "unregularized": []}
-    for run, (_, report) in zip(runs, _train_runs(runs, cfg, lr=lr, epochs=epochs)):
-        results[_arm_key(run.use_regularizer)].append(report)
+    for _, report in _train_runs(scenes, seeds, arms, cfg, lr=lr, epochs=epochs):
+        results[_arm_key(report.config["use_regularizer"])].append(report)
 
     def mean_violations(reports):
         return float(np.mean([r.neighbor_order_violations for r in reports]))

@@ -225,6 +225,19 @@ class TestEval:
         sidecar = tmp_path / "report.json.missing.txt"
         assert sidecar.read_text() == "000002\n"
 
+    def test_complete_rerun_removes_stale_missing_sidecar(self, tmp_path):
+        corpus = write_corpus(tmp_path / "data")
+        moved = tmp_path / "000002.txt"
+        (corpus["pred"] / "000002.txt").rename(moved)
+        out = tmp_path / "report.json"
+        assert run(self.eval_args(corpus, out)) == 0
+        sidecar = tmp_path / "report.json.missing.txt"
+        assert sidecar.read_text() == "000002\n"
+        moved.rename(corpus["pred"] / "000002.txt")
+        assert run(self.eval_args(corpus, out)) == 0
+        assert json.loads(out.read_text())["missing_prediction_frames"] == []
+        assert not sidecar.exists()
+
     @pytest.mark.parametrize("name", ["nonexist", "split.txt"])
     def test_pred_dir_not_a_directory_is_input_error(self, corpus, tmp_path, capsys, name):
         # A mistyped --pred-dir would otherwise read as a detector that

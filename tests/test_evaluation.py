@@ -593,14 +593,14 @@ class TestLocalizationReport:
     def test_perfect(self):
         centers = np.array([[1.0, 0.5, 10.0], [-2.0, 1.0, 40.0]])
         report = localization_report(centers, centers)
-        assert (report.ra_u, report.ra_v, report.ra_z) == (1.0, 1.0, 1.0)
+        assert (report["ra_u"], report["ra_v"], report["ra_z"]) == (1.0, 1.0, 1.0)
 
     def test_single_pair_depth_error(self):
         gt = np.array([[1.0, 0.5, 10.0]])
         pred = np.array([[1.0, 0.5, 9.0]])
         report = localization_report(pred, gt)
-        assert report.ra_z == pytest.approx(0.9)
-        assert report.ra_u == 1.0
+        assert report["ra_z"] == pytest.approx(0.9)
+        assert report["ra_u"] == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -634,16 +634,16 @@ class TestLocalizationReport:
         pred = gt.copy()
         pred[:, 2] += 0.002 * z ** 2
         report = localization_report(pred, gt)
-        ra_z = [b.ra_z for b in report.depth_bins if b.count]
+        ra_z = [b["ra_z"] for b in report["depth_bins"] if b["count"]]
         assert all(a >= b for a, b in zip(ra_z, ra_z[1:]))
 
     def test_bins_partition_depth_range(self):
         report = localization_report(np.array([[0.0, 0.0, 89.9]]),
                                      np.array([[0.0, 0.0, 90.0]]))
-        edges = [(b.lo, b.hi) for b in report.depth_bins]
+        edges = [(b["lo"], b["hi"]) for b in report["depth_bins"]]
         assert edges[0] == (0.0, 10.0)
         assert edges[-1] == (70.0, 90.0)
-        assert report.depth_bins[-1].count == 1
+        assert report["depth_bins"][-1]["count"] == 1
 
     def test_pair_beyond_90_m_counts_overall_but_in_no_bin(self):
         # The last bin is [70, 90]: a deeper pair enters the count and the
@@ -651,15 +651,15 @@ class TestLocalizationReport:
         gt = np.array([[0.0, 1.6, 95.5], [0.0, 1.6, 20.0]])
         pred = gt + np.array([[9.55, 0.0, 0.0], [0.0, 0.0, 0.0]])
         report = localization_report(pred, gt)
-        assert report.count == 2
-        assert [b.count for b in report.depth_bins] == [0, 0, 1, 0, 0, 0, 0, 0]
-        assert report.depth_bins[2].ra_u == 1.0
-        assert report.ra_u == pytest.approx(1.0 - 0.1 / 2)
+        assert report["count"] == 2
+        assert [b["count"] for b in report["depth_bins"]] == [0, 0, 1, 0, 0, 0, 0, 0]
+        assert report["depth_bins"][2]["ra_u"] == 1.0
+        assert report["ra_u"] == pytest.approx(1.0 - 0.1 / 2)
 
     def test_clamped_to_unit_interval(self):
         gt = np.array([[0.0, 0.0, 1.0]])
         pred = np.array([[5.0, 0.0, 1.0]])
-        assert localization_report(pred, gt).ra_u == 0.0
+        assert localization_report(pred, gt)["ra_u"] == 0.0
 
 
 class TestEvaluateFrames:
@@ -1051,9 +1051,9 @@ def oracle_evaluate(gts_by_frame, preds_by_frame, thresholds, ap_mode="11", over
     if pred_centers:
         loc = localization_report(np.array(pred_centers), np.array(gt_centers))
         report["localization"] = {
-            "iou_threshold": min(thresholds), "count": loc.count,
-            "ra_u": loc.ra_u, "ra_v": loc.ra_v, "ra_z": loc.ra_z,
-            "depth_bins": [dataclasses.asdict(b) for b in loc.depth_bins]}
+            "iou_threshold": min(thresholds), "count": loc["count"],
+            "ra_u": loc["ra_u"], "ra_v": loc["ra_v"], "ra_z": loc["ra_z"],
+            "depth_bins": [dict(b) for b in loc["depth_bins"]]}
     return report, passes
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -315,9 +316,11 @@ class TestTrain:
         assert with_flag.final_l1 == without.final_l1
 
     def test_divergence_detected(self):
-        # the graph quadratic goes unstable at an absurd learning rate
+        # the graph quadratic goes unstable at an absurd learning rate; the
+        # error names the one run's arm and seed, as a paired run's does
         scene = generate_scene(20, 8, 0.1, seed=2)
-        with pytest.raises(TrainingDiverged) as exc:
+        with pytest.raises(TrainingDiverged, match=r"^training diverged; last finite epoch "
+                                                   r"was 1 \(regularized arm, seed 2\)$") as exc:
             train(scene, LossConfig(), True, lr=10.0, epochs=500, seed=2)
         assert exc.value.epoch >= 0
 
@@ -367,6 +370,15 @@ class TestPairedExperiment:
         assert out["reports"]["regularized"] == []
         assert "epochs_ratio" not in out["summary"]
 
+    @pytest.mark.parametrize("arms", [(True, True), (False, False), (False, True, False),
+                                      (1, 0), (True, None)])
+    def test_malformed_arms_rejected(self, arms):
+        # The regularised runs are one stride of the stack: a repeated arm
+        # would train its second run without the regulariser.
+        with pytest.raises(ValueError, match=re.escape(
+                f"arms must be distinct True/False values, got {arms!r}")):
+            run_paired_experiment([1, 2], LossConfig(), n_objects=10, epochs=3, arms=arms)
+
 
 class TestStackedTraining:
     """The stacked loop against the per-run loop it replaced, bit for bit."""
@@ -406,13 +418,12 @@ class TestStackedTraining:
             for report, ref_report in zip(reports[key], ref):
                 assert_reports_identical(report, ref_report)
         # the stacked core's heads, in run order, equal the reference heads
-        runs = [toy_trainer._Run(generate_scene(kwargs["n_objects"],
-                                                kwargs.get("feature_dim", 24),
-                                                kwargs.get("noise_sigma", 0.1), seed),
-                                 use_reg, seed)
-                for seed in kwargs["seeds"] for use_reg in kwargs.get("arms", (True, False))]
-        trained = toy_trainer._train_runs(runs, cfg, lr=kwargs.get("lr", 1e-3),
-                                          epochs=kwargs["epochs"])
+        scenes = [generate_scene(kwargs["n_objects"], kwargs.get("feature_dim", 24),
+                                 kwargs.get("noise_sigma", 0.1), seed)
+                  for seed in kwargs["seeds"]]
+        trained = toy_trainer._train_runs(scenes, kwargs["seeds"],
+                                          kwargs.get("arms", (True, False)), cfg,
+                                          lr=kwargs.get("lr", 1e-3), epochs=kwargs["epochs"])
         for (head, _), (_, ref_head, _) in zip(trained, expected, strict=True):
             assert head.w.tobytes() == ref_head.w.tobytes()
             assert head.b.tobytes() == ref_head.b.tobytes()
@@ -428,8 +439,8 @@ class TestStackedTraining:
         # epoch; in [3, 7, 2] two runs diverge in the same epoch. In
         # [11, 4, 6] each earlier run diverges later than the next, so the
         # error names seed 11 though seeds 4 and 6 diverge first. With the
-        # unregularised arm first, run 0 never diverges and sits in the
-        # slot after the regularised runs.
+        # unregularised arm first, run 0 never diverges, so the loop runs
+        # to the end and the error names a later, regularised run.
         cfg = LossConfig()
         with pytest.raises(TrainingDiverged) as expected:
             reference_paired_runs(seeds, cfg, n_objects=100, arms=arms)
@@ -456,9 +467,9 @@ class TestStackedTraining:
         assert len(calls) == 14
 
     def test_run_zero_behind_a_run_that_fails_first_is_named(self):
-        # With the unregularised arm first, run 0 sits in the slot after the
-        # regularised run. beta = 1e308 fails that run at epoch 0, lr = 1e308
-        # fails run 0 one epoch later: trained one by one, run 0 fails first.
+        # With the unregularised arm first, run 0 is unregularised and run 1
+        # regularised. beta = 1e308 fails run 1 at epoch 0, lr = 1e308 fails
+        # run 0 one epoch later: trained one by one, run 0 fails first.
         with pytest.raises(TrainingDiverged, match=r"^training diverged; last finite epoch "
                                                    r"was 0 \(unregularized arm, seed 1\)$"):
             run_paired_experiment([1], LossConfig(beta=1e308), lr=1e308, epochs=5,
